@@ -50,11 +50,7 @@ if(AVD_SANITIZE)
   # Frame pointers keep sanitizer stack traces usable in optimized builds.
   add_compile_options(${_avd_san_flags} -fno-omit-frame-pointer -g)
   add_link_options(${_avd_san_flags})
-  # Every sanitizer build also runs the runtime lock-order checker
-  # (src/common/lockdep.h): lockdep::Mutex instruments lock/unlock and
-  # aborts on an order inversion before the deadlock can hang the build.
-  add_compile_definitions(AVD_LOCKDEP=1)
-  message(STATUS "AVD: sanitizers enabled: ${AVD_SANITIZE} (+lockdep)")
+  message(STATUS "AVD: sanitizers enabled: ${AVD_SANITIZE}")
 endif()
 
 if(AVD_WERROR)

@@ -1,47 +1,11 @@
 #include "avd/explorers.h"
 
-#include <algorithm>
-#include <thread>
-
 namespace avd::core {
 
 Controller makeRandomExplorer(ScenarioExecutor& executor, std::uint64_t seed) {
   ControllerOptions options;
   options.initialRandomTests = SIZE_MAX;  // never switch to feedback mode
   return Controller(executor, defaultPlugins(executor.space()), options, seed);
-}
-
-std::vector<ExhaustiveResult> ExhaustiveExplorer::exploreAll(
-    std::size_t threads) {
-  // Probe one executor for the space geometry.
-  const std::unique_ptr<ScenarioExecutor> probe = factory_();
-  const Hyperspace& space = probe->space();
-  const std::uint64_t total = space.totalScenarios();
-
-  std::vector<ExhaustiveResult> results(total);
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  threads = std::min<std::size_t>(threads, total);
-
-  // Contiguous chunks, one worker + one executor each: executors need no
-  // synchronization and results land in disjoint slots.
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  for (std::size_t worker = 0; worker < threads; ++worker) {
-    const std::uint64_t begin = total * worker / threads;
-    const std::uint64_t end = total * (worker + 1) / threads;
-    workers.emplace_back([this, begin, end, &results] {
-      const std::unique_ptr<ScenarioExecutor> executor = factory_();
-      for (std::uint64_t linear = begin; linear < end; ++linear) {
-        Point point = executor->space().unflatten(linear);
-        results[linear].outcome = executor->execute(point);
-        results[linear].point = std::move(point);
-      }
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
-  return results;
 }
 
 }  // namespace avd::core

@@ -1,16 +1,12 @@
-// Baseline exploration strategies.
+// Baseline exploration strategy.
 //
 // Random exploration is the comparison strategy in Figure 2 (and doubles as
-// the weakest attacker of §4); exhaustive exploration regenerates the
-// Figure 3 structure plot. Random exploration reuses the Controller with an
-// unlimited "battleships opening" so both strategies share bookkeeping and
-// the TestRecord format.
+// the weakest attacker of §4). It reuses the Controller with an unlimited
+// "battleships opening" so it shares the adaptive strategy's bookkeeping
+// and TestRecord format.
 #pragma once
 
-#include <cstddef>
-#include <functional>
-#include <memory>
-#include <vector>
+#include <cstdint>
 
 #include "avd/controller.h"
 #include "avd/executor.h"
@@ -21,28 +17,5 @@ namespace avd::core {
 /// independent uniform sample (without repetition).
 Controller makeRandomExplorer(ScenarioExecutor& executor,
                               std::uint64_t seed = 1);
-
-struct ExhaustiveResult {
-  Point point;
-  Outcome outcome;
-};
-
-/// Visits every point of a hyperspace exactly once. Tests are independent
-/// (§3: the system is re-initialized per test), so the sweep fans out over
-/// `threads` workers, each with its own executor instance from `factory`.
-class ExhaustiveExplorer {
- public:
-  using ExecutorFactory = std::function<std::unique_ptr<ScenarioExecutor>()>;
-
-  explicit ExhaustiveExplorer(ExecutorFactory factory)
-      : factory_(std::move(factory)) {}
-
-  /// Runs all totalScenarios() points; results are indexed by the space's
-  /// flatten() linearization. threads == 0 uses hardware concurrency.
-  std::vector<ExhaustiveResult> exploreAll(std::size_t threads = 0);
-
- private:
-  ExecutorFactory factory_;
-};
 
 }  // namespace avd::core

@@ -96,25 +96,6 @@ Point Hyperspace::samplePoint(util::Rng& rng) const {
   return point;
 }
 
-std::uint64_t Hyperspace::flatten(const Point& point) const {
-  assert(valid(point));
-  std::uint64_t linear = 0;
-  for (std::size_t i = dimensions_.size(); i-- > 0;) {
-    linear = linear * dimensions_[i].cardinality() + point[i];
-  }
-  return linear;
-}
-
-Point Hyperspace::unflatten(std::uint64_t linear) const {
-  Point point(dimensions_.size());
-  for (std::size_t i = 0; i < dimensions_.size(); ++i) {
-    const std::uint64_t cardinality = dimensions_[i].cardinality();
-    point[i] = linear % cardinality;
-    linear /= cardinality;
-  }
-  return point;
-}
-
 std::uint64_t Hyperspace::pointHash(const Point& point) const noexcept {
   std::uint64_t h = util::fnv1a("avd.point");
   for (const std::uint64_t index : point) h = util::hashCombine(h, index);

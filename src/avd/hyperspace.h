@@ -80,11 +80,6 @@ class Hyperspace {
   /// Uniformly random point.
   Point samplePoint(util::Rng& rng) const;
 
-  /// Bijective linearization for exhaustive sweeps (requires
-  /// totalScenarios() to not saturate). Dimension 0 varies fastest.
-  std::uint64_t flatten(const Point& point) const;
-  Point unflatten(std::uint64_t linear) const;
-
   /// Order-sensitive hash of a point, for visited-set bookkeeping.
   std::uint64_t pointHash(const Point& point) const noexcept;
 

@@ -3,13 +3,13 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
+#include <mutex>
 #include <thread>
 #include <utility>
 
 #include "campaign/fleet/protocol.h"
 #include "campaign/fleet/shard.h"
 #include "common/framing.h"
-#include "common/lockdep.h"
 #include "common/proc.h"
 
 namespace avd::campaign::fleet {
@@ -24,7 +24,7 @@ using BeatClock = std::chrono::steady_clock;
 
 /// Shared between the executing thread and the heartbeat thread.
 struct BusyState {
-  lockdep::Mutex mutex{"fleet::worker::BusyState"};
+  std::mutex mutex;
   std::uint64_t busyTest = 0;  // guarded by mutex; 0 = idle
   BeatClock::time_point busySince;  // guarded by mutex
 };
@@ -71,7 +71,7 @@ int runWorker(int fd, const WorkerExecutorFactory& makeExecutor,
 
   // writeFrame is two sends (header, payload); the heartbeat thread and
   // the outcome path must not interleave halves of different frames.
-  lockdep::Mutex writeMutex{"fleet::worker::writeMutex"};
+  std::mutex writeMutex;
   BusyState busy;
   std::atomic<bool> stop{false};
 
@@ -82,7 +82,7 @@ int runWorker(int fd, const WorkerExecutorFactory& makeExecutor,
     while (!stop.load(std::memory_order_relaxed)) {
       Heartbeat beat;
       {
-        const std::lock_guard<lockdep::Mutex> guard(busy.mutex);
+        const std::lock_guard<std::mutex> guard(busy.mutex);
         beat.busyTest = busy.busyTest;
         if (busy.busyTest != 0) {
           beat.busyMs = static_cast<std::uint64_t>(
@@ -92,7 +92,7 @@ int runWorker(int fd, const WorkerExecutorFactory& makeExecutor,
         }
       }
       {
-        const std::lock_guard<lockdep::Mutex> guard(writeMutex);
+        const std::lock_guard<std::mutex> guard(writeMutex);
         if (!util::writeFrame(fd, encodeHeartbeat(beat))) break;
       }
       std::this_thread::sleep_for(interval);
@@ -117,7 +117,7 @@ int runWorker(int fd, const WorkerExecutorFactory& makeExecutor,
     if (!assign) return finish(kWorkerExitLostPeer);
 
     {
-      const std::lock_guard<lockdep::Mutex> guard(busy.mutex);
+      const std::lock_guard<std::mutex> guard(busy.mutex);
       busy.busyTest = assign->test;
       busy.busySince = BeatClock::now();
     }
@@ -133,7 +133,7 @@ int runWorker(int fd, const WorkerExecutorFactory& makeExecutor,
       done.error = "unknown executor exception";
     }
     {
-      const std::lock_guard<lockdep::Mutex> guard(busy.mutex);
+      const std::lock_guard<std::mutex> guard(busy.mutex);
       busy.busyTest = 0;
     }
 
@@ -153,7 +153,7 @@ int runWorker(int fd, const WorkerExecutorFactory& makeExecutor,
       return finish(kWorkerExitSimulated);
     }
     {
-      const std::lock_guard<lockdep::Mutex> guard(writeMutex);
+      const std::lock_guard<std::mutex> guard(writeMutex);
       if (!util::writeFrame(fd, encodeDone(done))) {
         return finish(kWorkerExitLostPeer);
       }

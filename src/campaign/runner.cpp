@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "avd/plugin.h"
-#include "common/lockdep.h"
 #include "common/thread_pool.h"
 
 namespace avd::campaign {
@@ -280,8 +279,8 @@ CampaignResult CampaignRunner::drive(
       WatchClock::time_point deadline;
     };
 
-    lockdep::Mutex mutex{"CampaignRunner::drive::mutex"};
-    lockdep::CondVar cv;
+    std::mutex mutex;
+    std::condition_variable cv;
     std::deque<Completion> completions;  // guarded by mutex
     std::deque<std::size_t> freeWorkers;
     for (std::size_t w = 0; w < executors.size(); ++w) freeWorkers.push_back(w);
@@ -329,7 +328,7 @@ CampaignResult CampaignRunner::drive(
           completion.error = "unknown executor exception";
         }
         {
-          const std::lock_guard<lockdep::Mutex> guard(mutex);
+          const std::lock_guard<std::mutex> guard(mutex);
           completions.push_back(std::move(completion));
         }
         cv.notify_all();
@@ -369,7 +368,7 @@ CampaignResult CampaignRunner::drive(
       // Wait for a completion (or the nearest watchdog/respawn deadline).
       std::vector<Completion> drained;
       {
-        std::unique_lock<lockdep::Mutex> lock(mutex);
+        std::unique_lock<std::mutex> lock(mutex);
         if (completions.empty()) {
           if (withWatchdog) {
             WatchClock::time_point nearest = WatchClock::time_point::max();

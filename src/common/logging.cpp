@@ -31,7 +31,7 @@ Logger& Logger::instance() noexcept {
 }
 
 void Logger::write(LogLevel level, std::string_view message) {
-  const std::lock_guard<lockdep::Mutex> guard(mutex_);
+  const std::lock_guard<std::mutex> guard(mutex_);
   std::fprintf(stderr, "[%.*s] %.*s\n",
                static_cast<int>(levelName(level).size()),
                levelName(level).data(), static_cast<int>(message.size()),

@@ -7,9 +7,8 @@
 #pragma once
 
 #include <cstdio>
+#include <mutex>
 #include <string_view>
-
-#include "common/lockdep.h"
 
 namespace avd::util {
 
@@ -33,7 +32,7 @@ class Logger {
   Logger() = default;
 
   LogLevel level_ = LogLevel::kWarn;
-  lockdep::Mutex mutex_{"Logger::mutex_"};
+  std::mutex mutex_;
 };
 
 #define AVD_LOG_AT(level, ...)                                       \

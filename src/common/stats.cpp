@@ -2,62 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace avd::util {
-
-namespace {
-void appendf(std::string& out, const char* fmt, double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), fmt, value);
-  out += buffer;
-}
-void appendf(std::string& out, const char* fmt, const char* value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), fmt, value);
-  out += buffer;
-}
-}  // namespace
-
-void Accumulator::add(double sample) noexcept {
-  if (count_ == 0) {
-    min_ = max_ = sample;
-  } else {
-    min_ = std::min(min_, sample);
-    max_ = std::max(max_, sample);
-  }
-  ++count_;
-  sum_ += sample;
-  const double delta = sample - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (sample - mean_);
-}
-
-double Accumulator::variance() const noexcept {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double Accumulator::stddev() const noexcept { return std::sqrt(variance()); }
-
-void Accumulator::merge(const Accumulator& other) noexcept {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto total = static_cast<double>(count_ + other.count_);
-  m2_ += other.m2_ + delta * delta * static_cast<double>(count_) *
-                         static_cast<double>(other.count_) / total;
-  mean_ = (mean_ * static_cast<double>(count_) +
-           other.mean_ * static_cast<double>(other.count_)) /
-          total;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  sum_ += other.sum_;
-  count_ += other.count_;
-}
 
 double SampleSet::mean() const noexcept {
   if (samples_.empty()) return 0.0;
@@ -77,33 +23,6 @@ double SampleSet::percentile(double p) const {
       std::ceil(p / 100.0 * static_cast<double>(samples_.size())));
   const std::size_t index = rank == 0 ? 0 : rank - 1;
   return samples_[std::min(index, samples_.size() - 1)];
-}
-
-std::string renderTable(const std::vector<Series>& series,
-                        const std::string& xLabel) {
-  std::string out;
-  appendf(out, "%12s", xLabel.c_str());
-  std::size_t rows = 0;
-  for (const Series& s : series) {
-    appendf(out, " %16s", s.name.c_str());
-    rows = std::max(rows, s.size());
-  }
-  out += '\n';
-  for (std::size_t r = 0; r < rows; ++r) {
-    const double xv = series.empty() || r >= series[0].x.size()
-                          ? static_cast<double>(r)
-                          : series[0].x[r];
-    appendf(out, "%12.6g", xv);
-    for (const Series& s : series) {
-      if (r < s.y.size()) {
-        appendf(out, " %16.6g", s.y[r]);
-      } else {
-        appendf(out, " %16s", "-");
-      }
-    }
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace avd::util

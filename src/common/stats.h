@@ -1,43 +1,13 @@
-// Streaming statistics helpers for performance measurement.
+// Percentile statistics for performance measurement.
 //
-// The impact metric of every AVD test is computed from throughput and
-// latency samples gathered by these accumulators; they therefore avoid
-// storing per-request state unless percentiles are requested.
+// pbft::Deployment collects each run's request latencies in a SampleSet and
+// reports their p50 and p99.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <string>
 #include <vector>
 
 namespace avd::util {
-
-/// Welford-style streaming mean / variance / min / max accumulator.
-class Accumulator {
- public:
-  void add(double sample) noexcept;
-
-  std::size_t count() const noexcept { return count_; }
-  bool empty() const noexcept { return count_ == 0; }
-  double mean() const noexcept { return count_ == 0 ? 0.0 : mean_; }
-  /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-  double variance() const noexcept;
-  double stddev() const noexcept;
-  double min() const noexcept { return count_ == 0 ? 0.0 : min_; }
-  double max() const noexcept { return count_ == 0 ? 0.0 : max_; }
-  double sum() const noexcept { return sum_; }
-
-  /// Merges another accumulator (parallel reduction).
-  void merge(const Accumulator& other) noexcept;
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
 
 /// Reservoir of raw samples for percentile queries. Stores everything; the
 /// workloads in this repository produce at most a few hundred thousand
@@ -57,23 +27,5 @@ class SampleSet {
   mutable std::vector<double> samples_;
   mutable bool sorted_ = false;
 };
-
-/// A (x, y) series, e.g. "impact of the best scenario after k tests".
-struct Series {
-  std::string name;
-  std::vector<double> x;
-  std::vector<double> y;
-
-  void add(double xv, double yv) {
-    x.push_back(xv);
-    y.push_back(yv);
-  }
-  std::size_t size() const noexcept { return x.size(); }
-};
-
-/// Renders series as an aligned ASCII table, one row per x value; used by
-/// the figure-regeneration benches to print paper-style data.
-std::string renderTable(const std::vector<Series>& series,
-                        const std::string& xLabel);
 
 }  // namespace avd::util

@@ -1,7 +1,6 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 
 namespace avd::util {
 
@@ -17,7 +16,7 @@ ThreadPool::ThreadPool(std::size_t threads) {
 
 ThreadPool::~ThreadPool() {
   {
-    const std::lock_guard<lockdep::Mutex> guard(mutex_);
+    const std::lock_guard<std::mutex> guard(mutex_);
     stopping_ = true;
   }
   cv_.notify_all();
@@ -28,7 +27,7 @@ void ThreadPool::workerLoop() {
   for (;;) {
     std::function<void()> task;
     {
-      std::unique_lock<lockdep::Mutex> lock(mutex_);
+      std::unique_lock<std::mutex> lock(mutex_);
       cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
       if (stopping_ && queue_.empty()) return;
       task = std::move(queue_.front());
@@ -36,25 +35,6 @@ void ThreadPool::workerLoop() {
     }
     task();
   }
-}
-
-void ThreadPool::parallelFor(std::size_t count,
-                             const std::function<void(std::size_t)>& fn) {
-  if (count == 0) return;
-  std::atomic<std::size_t> next{0};
-  std::vector<std::future<void>> futures;
-  const std::size_t lanes = std::min(count, threadCount());
-  futures.reserve(lanes);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    futures.push_back(submit([&] {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= count) return;
-        fn(i);
-      }
-    }));
-  }
-  for (auto& future : futures) future.get();
 }
 
 }  // namespace avd::util

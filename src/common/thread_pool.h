@@ -1,12 +1,13 @@
 // Fixed-size worker pool for embarrassingly parallel test execution.
 //
 // Individual AVD tests are independent (the system under test is
-// re-initialized per test, §3), so exhaustive sweeps such as the Figure 3
-// hyperspace exploration fan out across a pool. The adaptive controller
-// itself stays sequential because each generation step depends on prior
-// results.
+// re-initialized per test, §3), so a parallel campaign
+// (campaign::CampaignRunner) runs each worker's scenarios on a pool thread.
+// The adaptive controller itself stays sequential because each generation
+// step depends on prior results.
 #pragma once
 
+#include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
@@ -15,8 +16,6 @@
 #include <thread>
 #include <type_traits>
 #include <vector>
-
-#include "common/lockdep.h"
 
 namespace avd::util {
 
@@ -29,8 +28,6 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t threadCount() const noexcept { return workers_.size(); }
-
   /// Schedules a callable; the returned future observes its result.
   template <typename F>
   auto submit(F&& task) -> std::future<std::invoke_result_t<F>> {
@@ -39,23 +36,20 @@ class ThreadPool {
         std::forward<F>(task));
     std::future<Result> future = packaged->get_future();
     {
-      const std::lock_guard<lockdep::Mutex> guard(mutex_);
+      const std::lock_guard<std::mutex> guard(mutex_);
       queue_.emplace_back([packaged] { (*packaged)(); });
     }
     cv_.notify_one();
     return future;
   }
 
-  /// Runs fn(i) for i in [0, count) across the pool and blocks until done.
-  void parallelFor(std::size_t count, const std::function<void(std::size_t)>& fn);
-
  private:
   void workerLoop();
 
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;
-  lockdep::Mutex mutex_{"ThreadPool::mutex_"};
-  lockdep::CondVar cv_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
   bool stopping_ = false;
 };
 

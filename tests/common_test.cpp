@@ -1,7 +1,6 @@
 // Unit and property tests for the common utility library.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
@@ -272,42 +271,6 @@ TEST(Hash, CombineIsOrderSensitive) {
 
 // --- Stats ---------------------------------------------------------------------
 
-TEST(Accumulator, BasicMoments) {
-  Accumulator acc;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) acc.add(v);
-  EXPECT_EQ(acc.count(), 8u);
-  EXPECT_DOUBLE_EQ(acc.mean(), 5.0);
-  EXPECT_NEAR(acc.stddev(), 2.138, 0.01);  // sample stddev
-  EXPECT_DOUBLE_EQ(acc.min(), 2.0);
-  EXPECT_DOUBLE_EQ(acc.max(), 9.0);
-  EXPECT_DOUBLE_EQ(acc.sum(), 40.0);
-}
-
-TEST(Accumulator, EmptyIsZero) {
-  const Accumulator acc;
-  EXPECT_TRUE(acc.empty());
-  EXPECT_DOUBLE_EQ(acc.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(acc.variance(), 0.0);
-}
-
-TEST(Accumulator, MergeMatchesSequential) {
-  Rng rng(41);
-  Accumulator whole;
-  Accumulator left;
-  Accumulator right;
-  for (int i = 0; i < 1000; ++i) {
-    const double v = rng.uniform() * 100;
-    whole.add(v);
-    (i % 2 == 0 ? left : right).add(v);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-6);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
 TEST(SampleSet, PercentilesAreNearestRank) {
   SampleSet samples;
   for (int i = 1; i <= 100; ++i) samples.add(i);
@@ -324,18 +287,6 @@ TEST(SampleSet, EmptyIsZero) {
   EXPECT_DOUBLE_EQ(samples.mean(), 0.0);
 }
 
-TEST(Series, RenderTableAlignsRows) {
-  Series s1{.name = "alpha", .x = {}, .y = {}};
-  s1.add(1, 10);
-  s1.add(2, 20);
-  Series s2{.name = "beta", .x = {}, .y = {}};
-  s2.add(1, 100);
-  const std::string table = renderTable({s1, s2}, "step");
-  EXPECT_NE(table.find("alpha"), std::string::npos);
-  EXPECT_NE(table.find("beta"), std::string::npos);
-  EXPECT_EQ(std::count(table.begin(), table.end(), '\n'), 3);  // header + 2
-}
-
 // --- ThreadPool ----------------------------------------------------------------
 
 TEST(ThreadPool, ExecutesAllSubmittedTasks) {
@@ -345,20 +296,6 @@ TEST(ThreadPool, ExecutesAllSubmittedTasks) {
     futures.push_back(pool.submit([i] { return i * i; }));
   }
   for (int i = 0; i < 100; ++i) EXPECT_EQ(futures[i].get(), i * i);
-}
-
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> counters(500);
-  pool.parallelFor(500, [&](std::size_t i) { ++counters[i]; });
-  for (const auto& counter : counters) EXPECT_EQ(counter.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForZeroIsNoop) {
-  ThreadPool pool(2);
-  bool touched = false;
-  pool.parallelFor(0, [&](std::size_t) { touched = true; });
-  EXPECT_FALSE(touched);
 }
 
 TEST(ThreadPool, PropagatesExceptions) {

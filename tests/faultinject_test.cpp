@@ -1,6 +1,6 @@
 // Unit tests for the fault-injection tool suite: mask factories, the
-// reordering tool (with Levenshtein-measured effect), the LFI-style plan
-// machinery, and the network fault adapters.
+// reordering tool (with Levenshtein-measured effect), and the network fault
+// adapters.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,7 +10,6 @@
 #include "common/levenshtein.h"
 #include "faultinject/behaviors.h"
 #include "faultinject/churn.h"
-#include "faultinject/lfi.h"
 #include "faultinject/mac_corruptor.h"
 #include "faultinject/network_faults.h"
 #include "faultinject/reorder.h"
@@ -56,46 +55,6 @@ TEST(Masks, RotatingMaskGivesEachReplicaOneValidRound) {
   EXPECT_EQ(corruptBackupsRoundZero, 3);
 }
 
-// --- LFI-style fault plan ------------------------------------------------------------
-
-TEST(FaultPlan, InjectsAtExactCallNumber) {
-  FaultPlan plan;
-  plan.add(FaultSpec{"net::send", 2, -5, false});
-  EXPECT_EQ(plan.shouldFail("net::send"), 0);  // call 0
-  EXPECT_EQ(plan.shouldFail("net::send"), 0);  // call 1
-  EXPECT_EQ(plan.shouldFail("net::send"), -5);  // call 2
-  EXPECT_EQ(plan.shouldFail("net::send"), 0);  // call 3
-  EXPECT_EQ(plan.injectedCount(), 1u);
-  EXPECT_EQ(plan.callCount("net::send"), 4u);
-}
-
-TEST(FaultPlan, PersistentFaultsKeepFiring) {
-  FaultPlan plan;
-  plan.add(FaultSpec{"disk::write", 1, -7, true});
-  EXPECT_EQ(plan.shouldFail("disk::write"), 0);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(plan.shouldFail("disk::write"), -7);
-  EXPECT_EQ(plan.injectedCount(), 5u);
-}
-
-TEST(FaultPlan, PointsAreIndependent) {
-  FaultPlan plan;
-  plan.add(FaultSpec{"a", 0, -1, false});
-  EXPECT_EQ(plan.shouldFail("b"), 0);
-  EXPECT_EQ(plan.shouldFail("a"), -1);
-  EXPECT_EQ(plan.callCount("a"), 1u);
-  EXPECT_EQ(plan.callCount("b"), 1u);
-  EXPECT_EQ(plan.callCount("never-called"), 0u);
-  EXPECT_EQ(plan.specCount(), 1u);
-}
-
-TEST(FaultPlan, ClearRemovesEverything) {
-  FaultPlan plan;
-  plan.add(FaultSpec{"a", 0, -1, true});
-  plan.clear();
-  EXPECT_EQ(plan.shouldFail("a"), 0);
-  EXPECT_EQ(plan.specCount(), 0u);
-}
-
 // --- Network adapters -----------------------------------------------------------------
 
 class SinkNode final : public sim::Node {
@@ -112,26 +71,6 @@ class TaggedMessage final : public sim::Message {
  public:
   std::uint32_t kind() const noexcept override { return 0xCAFE; }
 };
-
-TEST(SendFaultAdapter, DropsCallsThePlanFails) {
-  sim::Simulator simulator(1);
-  sim::Network network(&simulator, sim::LinkModel{sim::msec(1), 0});
-  SinkNode sender(0);
-  SinkNode receiver(1);
-  network.registerNode(&sender);
-  network.registerNode(&receiver);
-
-  FaultPlan plan;
-  plan.add(FaultSpec{std::string(SendFaultAdapter::kPoint), 1, -3, false});
-  network.addFault(std::make_shared<SendFaultAdapter>(&plan));
-
-  for (int i = 0; i < 4; ++i) {
-    sender.send(1, std::make_shared<TaggedMessage>());
-  }
-  simulator.run();
-  EXPECT_EQ(receiver.received.size(), 3u) << "exactly call #1 was dropped";
-  EXPECT_EQ(plan.injectedCount(), 1u);
-}
 
 TEST(ReorderFault, ZeroIntensityPreservesOrder) {
   sim::Simulator simulator(2);

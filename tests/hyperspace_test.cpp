@@ -75,27 +75,6 @@ TEST(HyperspaceModel, ValidChecksEveryCoordinate) {
   EXPECT_FALSE(space.valid({0, 0}));  // wrong arity
 }
 
-TEST(HyperspaceModel, FlattenUnflattenRoundTrips) {
-  const Hyperspace space = paperSpace();
-  util::Rng rng(5);
-  for (int i = 0; i < 2000; ++i) {
-    const Point point = space.samplePoint(rng);
-    EXPECT_EQ(space.unflatten(space.flatten(point)), point);
-  }
-  // Exhaustive over a small space.
-  Hyperspace small;
-  small.add(Dimension::range("a", 0, 3));
-  small.add(Dimension::choice("b", {7, 8, 9}));
-  std::set<std::uint64_t> linears;
-  for (std::uint64_t a = 0; a < 4; ++a) {
-    for (std::uint64_t b = 0; b < 3; ++b) {
-      linears.insert(small.flatten({a, b}));
-    }
-  }
-  EXPECT_EQ(linears.size(), 12u) << "flatten is a bijection";
-  EXPECT_EQ(*linears.rbegin(), 11u);
-}
-
 TEST(HyperspaceModel, SamplePointIsAlwaysValid) {
   const Hyperspace space = paperSpace();
   util::Rng rng(6);
@@ -115,17 +94,17 @@ TEST(HyperspaceModel, ValueOfLooksUpByName) {
 
 TEST(HyperspaceModel, PointHashDistinguishesPoints) {
   // Distinct points must hash distinctly (up to negligible 64-bit
-  // collisions); duplicate sampled points are deduplicated via flatten().
+  // collisions); duplicate sampled points collapse in the point set.
   const Hyperspace space = paperSpace();
   std::set<std::uint64_t> hashes;
-  std::set<std::uint64_t> linears;
+  std::set<Point> points;
   util::Rng rng(7);
   for (int i = 0; i < 5000; ++i) {
     const Point point = space.samplePoint(rng);
     hashes.insert(space.pointHash(point));
-    linears.insert(space.flatten(point));
+    points.insert(point);
   }
-  EXPECT_EQ(hashes.size(), linears.size());
+  EXPECT_EQ(hashes.size(), points.size());
 }
 
 // --- Plugins -------------------------------------------------------------------
@@ -230,36 +209,6 @@ class CountingExecutor final : public ScenarioExecutor {
  private:
   Hyperspace space_;
 };
-
-TEST(ExhaustiveExplorer, VisitsEveryPointExactlyOnce) {
-  Hyperspace space;
-  space.add(Dimension::grayBitmask("mask", 5));
-  space.add(Dimension::range("clients", 1, 3));
-  ExhaustiveExplorer explorer([&space] {
-    return std::make_unique<CountingExecutor>(space);
-  });
-  const auto results = explorer.exploreAll(4);
-  ASSERT_EQ(results.size(), 96u);  // 32 * 3
-  std::set<std::uint64_t> linears;
-  for (const ExhaustiveResult& result : results) {
-    EXPECT_TRUE(space.valid(result.point));
-    linears.insert(space.flatten(result.point));
-    EXPECT_DOUBLE_EQ(result.outcome.impact, 0.1);
-  }
-  EXPECT_EQ(linears.size(), 96u);
-}
-
-TEST(ExhaustiveExplorer, ResultsIndexedByFlattening) {
-  Hyperspace space;
-  space.add(Dimension::range("a", 0, 9));
-  ExhaustiveExplorer explorer([&space] {
-    return std::make_unique<CountingExecutor>(space);
-  });
-  const auto results = explorer.exploreAll(2);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(space.flatten(results[i].point), i);
-  }
-}
 
 TEST(RandomExplorer, NeverRevisitsInLargeSpace) {
   CountingExecutor executor(paperSpace());

@@ -1,13 +1,10 @@
 // Wire-codec tests: per-kind round trips, golden-format stability,
-// malformed-input rejection, a randomized decode fuzz sweep, and the
-// byte-level WireFuzzFault tool.
+// malformed-input rejection, and randomized decode fuzz sweeps.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "common/rng.h"
-#include "faultinject/wire_fuzz.h"
-#include "pbft/deployment.h"
 #include "pbft/message.h"
 #include "pbft/wire.h"
 
@@ -289,27 +286,3 @@ TEST(Wire, MutatedValidFramesNeverCrashTheDecoder) {
 }  // namespace
 }  // namespace avd::pbft
 
-namespace avd::fi {
-namespace {
-
-TEST(WireFuzzFault, ByteLevelFuzzingIsAbsorbed) {
-  pbft::DeploymentConfig config;
-  config.pbft.f = 1;
-  config.correctClients = 5;
-  config.warmup = sim::msec(300);
-  config.measure = sim::sec(2);
-  config.seed = 61;
-  pbft::Deployment deployment(config);
-  auto fuzz = std::make_shared<WireFuzzFault>(0.03);
-  deployment.network().addFault(fuzz);
-  const pbft::RunResult result = deployment.run();
-
-  EXPECT_GT(fuzz->flipped(), 50u);
-  EXPECT_FALSE(result.safetyViolated);
-  EXPECT_EQ(result.maxView, 0u);
-  EXPECT_GT(result.correctCompleted, 40u)
-      << "byte-level blind fuzzing cannot do real damage either";
-}
-
-}  // namespace
-}  // namespace avd::fi

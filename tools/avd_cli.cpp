@@ -1,11 +1,11 @@
 // avd_cli — command-line front end to the AVD platform.
 //
-//   avd_cli explore --system pbft|pbft-churn|pbft-flood|pbft-twins|quorum
-//                   --strategy avd|random|genetic
+//   avd_cli explore --system SYS --strategy avd|random|genetic
 //                   [--tests N] [--seed S] [--csv FILE] [--json FILE]
 //                   [--threshold T]
-//       Run an exploration against the chosen target system and print (or
-//       export) the per-test history and summary.
+//       Run an exploration against target system SYS (`avd_cli list` names
+//       the systems) and print (or export) the per-test history and
+//       summary.
 //
 //   avd_cli attack --name NAME [--clients N] [--seed S]
 //                  [--rate R] [--bytes B] [--kind K] [--target T]
@@ -13,8 +13,7 @@
 //       measured damage. `avd_cli list` shows the names. The flood
 //       attacks take --rate/--bytes/--kind/--target overrides.
 //
-//   avd_cli campaign [--system pbft|pbft-churn|pbft-flood|pbft-twins|quorum]
-//                    [--tests N] [--seed S]
+//   avd_cli campaign [--system SYS] [--tests N] [--seed S]
 //                    [--workers W] [--out DIR] [--resume DIR]
 //                    [--checkpoint-every N] [--timeout-ms MS] [--min-impact X]
 //       Run AVD exploration as a resumable, parallel campaign: W executor
@@ -22,7 +21,7 @@
 //       deduplicated vulnerability-class report at the end. `--resume DIR`
 //       continues a killed campaign exactly where its journal stops.
 //
-//   avd_cli fleet [--system ...] [--tests N] [--seed S]
+//   avd_cli fleet [--system SYS] [--tests N] [--seed S]
 //                 [--spawn W] [--remote R] [--batch B] [--out DIR]
 //                 [--resume DIR] [--checkpoint-every N] [--timeout-ms MS]
 //                 [--min-impact X] [--heartbeat-ms MS] [--max-respawns N]
@@ -46,18 +45,25 @@
 //   avd_cli list
 //       Enumerate systems, strategies and named attacks.
 //
-// Unknown flags are errors (exit status 2), not silently ignored.
+// Unknown flags and malformed values are errors (exit status 2), not
+// silently ignored.
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <initializer_list>
+#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <system_error>
+#include <utility>
 #include <vector>
 
 #include "avd/attacker_power.h"
@@ -82,10 +88,44 @@ using namespace avd;
 
 namespace {
 
+/// All of `text` as a T in [lo, hi]; nullopt for anything else: empty, a
+/// sign T cannot hold, trailing junk, overflow, NaN.
+template <typename T>
+[[nodiscard]] std::optional<T> parseNumber(const std::string& text, T lo,
+                                           T hi) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || !(value >= lo && value <= hi)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+/// A malformed value is a usage error, like an unknown flag.
+[[noreturn]] void badValue(const std::string& flag, const std::string& value,
+                           const std::string& expected) {
+  std::fprintf(stderr, "invalid value '%s' for '--%s': expected %s\n",
+               value.c_str(), flag.c_str(), expected.c_str());
+  std::exit(2);
+}
+
+/// The port after the last ':' of `--flag ADDR:PORT`; exits 2 unless it
+/// is a whole number in 0..65535.
+std::uint16_t portOf(const std::string& flag, const std::string& value,
+                     std::size_t colon) {
+  const auto port = parseNumber<std::uint32_t>(value.substr(colon + 1), 0,
+                                               65535);
+  if (!port) badValue(flag, value, "a port in 0..65535 after the ':'");
+  return static_cast<std::uint16_t>(*port);
+}
+
 /// Minimal --flag VALUE parser; flags may appear in any order. Every
 /// command declares its flag vocabulary: a flag outside it (or a flag
 /// without a value) is a usage error, so a typo like `--seeed 7` fails
-/// loudly instead of silently exploring with the default seed.
+/// loudly instead of silently exploring with the default seed. Numeric
+/// getters parse the whole value for the same reason: `--seed x12` is an
+/// error, not seed 0.
 class Args {
  public:
   Args(int argc, char** argv, int firstFlag,
@@ -116,35 +156,154 @@ class Args {
     const auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
+  /// Counts, sizes, durations and seeds: a whole number in [0, max].
+  std::uint64_t getCount(
+      const std::string& key, std::uint64_t fallback,
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const {
+    return getNumber<std::uint64_t>(
+        key, fallback, 0, max,
+        max == std::numeric_limits<std::uint64_t>::max()
+            ? "a non-negative whole number"
+            : "a whole number in 0.." + std::to_string(max));
+  }
+  /// A whole number that may be negative (`attack --target -1`).
   long long getInt(const std::string& key, long long fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atoll(it->second.c_str());
+    return getNumber<long long>(key, fallback,
+                                std::numeric_limits<long long>::min(),
+                                std::numeric_limits<long long>::max(),
+                                "a whole number");
   }
   double getDouble(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    return getNumber<double>(key, fallback,
+                             std::numeric_limits<double>::lowest(),
+                             std::numeric_limits<double>::max(),
+                             "a finite number");
   }
 
  private:
+  template <typename T>
+  T getNumber(const std::string& key, T fallback, T lo, T hi,
+              const std::string& expected) const {
+    const auto it = values_.find(key);
+    if (it == values_.end()) return fallback;
+    const auto value = parseNumber<T>(it->second, lo, hi);
+    if (!value) badValue(key, it->second, expected);
+    return *value;
+  }
+
   std::map<std::string, std::string> values_;
 };
+
+/// The deployment timing of the pbft, pbft-churn and pbft-twins systems;
+/// only the measurement window differs between them.
+core::PbftExecutorOptions pbftOptions(sim::Time measure) {
+  core::PbftExecutorOptions options;
+  options.pbft.requestTimeout = sim::msec(400);
+  options.pbft.viewChangeTimeout = sim::msec(400);
+  options.clientRetx = sim::msec(100);
+  options.link = sim::LinkModel{sim::msec(5), sim::usec(500)};
+  options.warmup = sim::msec(400);
+  options.measure = measure;
+  return options;
+}
+
+std::unique_ptr<core::ScenarioExecutor> pbftExecutor(
+    core::Hyperspace space, core::PbftExecutorOptions options,
+    std::uint64_t seed) {
+  options.baseSeed = seed;
+  return std::make_unique<core::PbftAttackExecutor>(std::move(space),
+                                                    std::move(options));
+}
+
+/// A target system a campaign can explore: its --system name, its line in
+/// `avd_cli list`, and its executor for a seed.
+struct System {
+  const char* name;
+  const char* summary;
+  std::unique_ptr<core::ScenarioExecutor> (*makeExecutor)(std::uint64_t seed);
+};
+
+const System kSystems[] = {
+    {"pbft", "MAC-corruption hyperspace, 204800 scenarios",
+     [](std::uint64_t seed) {
+       return pbftExecutor(core::makePaperMacHyperspace(),
+                           pbftOptions(sim::msec(3000)), seed);
+     }},
+    // The pbft deployment; the space is which replica to crash, when, for
+    // how long, and at what repeat period.
+    {"pbft-churn", "crash-restart timing hyperspace",
+     [](std::uint64_t seed) {
+       return pbftExecutor(core::makeChurnHyperspace(),
+                           pbftOptions(sim::msec(3000)), seed);
+     }},
+    // The ablation pair: one resource-exhaustion space over a
+    // bounded-ingress deployment, without and with admission control +
+    // fair scheduling.
+    {"pbft-flood", "resource-exhaustion hyperspace, bounded ingress",
+     [](std::uint64_t seed) {
+       return pbftExecutor(core::makeFloodHyperspace(),
+                           core::makeFloodExecutorOptions(false), seed);
+     }},
+    {"pbft-flood-defended", "pbft-flood against the Aardvark defenses",
+     [](std::uint64_t seed) {
+       return pbftExecutor(core::makeFloodHyperspace(),
+                           core::makeFloodExecutorOptions(true), seed);
+     }},
+    // Divergence shows up within the first virtual second, so a shorter
+    // window than the liveness systems keeps each scenario cheap.
+    {"pbft-twins", "twinned identities; hunts safety violations",
+     [](std::uint64_t seed) {
+       return pbftExecutor(core::makeTwinsHyperspace(),
+                           pbftOptions(sim::msec(2000)), seed);
+     }},
+    {"quorum", "timestamp/victims/replica-behaviour space",
+     [](std::uint64_t seed) -> std::unique_ptr<core::ScenarioExecutor> {
+       core::QuorumExecutorOptions options;
+       options.baseSeed = seed;
+       return std::make_unique<core::QuorumApiExecutor>(
+           core::makeQuorumApiHyperspace(), options);
+     }},
+};
+
+/// "pbft|pbft-churn|...": every --system value.
+std::string systemNames() {
+  std::string names;
+  for (const System& system : kSystems) {
+    if (!names.empty()) names += '|';
+    names += system.name;
+  }
+  return names;
+}
+
+/// The system called `name`, or nullptr after reporting it as unknown.
+const System* findSystem(const std::string& name) {
+  for (const System& system : kSystems) {
+    if (name == system.name) return &system;
+  }
+  std::fprintf(stderr, "unknown system '%s' (%s)\n", name.c_str(),
+               systemNames().c_str());
+  return nullptr;
+}
+
+std::unique_ptr<core::ScenarioExecutor> makeExecutor(const std::string& name,
+                                                     std::uint64_t seed) {
+  const System* system = findSystem(name);
+  if (system == nullptr) std::exit(2);
+  return system->makeExecutor(seed);
+}
 
 int usage() {
   std::fprintf(
       stderr,
       "usage: avd_cli explore|campaign|fleet|attack|power|list "
       "[--flag value ...]\n"
-      "  explore      --system pbft|pbft-churn|pbft-flood|pbft-twins|"
-      "quorum\n"
-      "               --strategy avd|random|genetic\n"
+      "  explore      --system SYS  --strategy avd|random|genetic\n"
       "               --tests N  --seed S  --threshold T  --csv FILE "
       "--json FILE\n"
-      "  campaign     --system pbft|pbft-churn|pbft-flood|pbft-twins|"
-      "quorum\n"
-      "               --tests N  --seed S  --workers W\n"
+      "  campaign     --system SYS  --tests N  --seed S  --workers W\n"
       "               --out DIR  --resume DIR  --checkpoint-every N\n"
       "               --timeout-ms MS  --min-impact X\n"
-      "  fleet        --system ...  --tests N  --seed S\n"
+      "  fleet        --system SYS  --tests N  --seed S\n"
       "               --spawn W  --remote R  --batch B\n"
       "               --out DIR  --resume DIR  --checkpoint-every N\n"
       "               --timeout-ms MS  --min-impact X  --heartbeat-ms MS\n"
@@ -160,84 +319,18 @@ int usage() {
       "               --rate R  --bytes B  --kind K  --target T  "
       "(flood only)\n"
       "  power        --budget N  --threshold T  --seeds a,b,c\n"
-      "unknown flags are errors; run 'avd_cli list' for systems, strategies\n"
-      "and attacks\n");
+      "SYS is one of %s\n"
+      "unknown flags and malformed values are errors; run 'avd_cli list' for\n"
+      "systems, strategies and attacks\n",
+      systemNames().c_str());
   return 2;
-}
-
-std::unique_ptr<core::ScenarioExecutor> makeExecutor(
-    const std::string& system, std::uint64_t seed) {
-  if (system == "pbft") {
-    core::PbftExecutorOptions options;
-    options.pbft.requestTimeout = sim::msec(400);
-    options.pbft.viewChangeTimeout = sim::msec(400);
-    options.clientRetx = sim::msec(100);
-    options.link = sim::LinkModel{sim::msec(5), sim::usec(500)};
-    options.warmup = sim::msec(400);
-    options.measure = sim::msec(3000);
-    options.baseSeed = seed;
-    return std::make_unique<core::PbftAttackExecutor>(
-        core::makePaperMacHyperspace(), options);
-  }
-  if (system == "pbft-churn") {
-    // Same deployment as "pbft", but the hyperspace explores crash-restart
-    // timing instead of MAC corruption: which replica to cycle, when, for
-    // how long, and at what repeat period.
-    core::PbftExecutorOptions options;
-    options.pbft.requestTimeout = sim::msec(400);
-    options.pbft.viewChangeTimeout = sim::msec(400);
-    options.clientRetx = sim::msec(100);
-    options.link = sim::LinkModel{sim::msec(5), sim::usec(500)};
-    options.warmup = sim::msec(400);
-    options.measure = sim::msec(3000);
-    options.baseSeed = seed;
-    return std::make_unique<core::PbftAttackExecutor>(
-        core::makeChurnHyperspace(), options);
-  }
-  if (system == "pbft-flood" || system == "pbft-flood-defended") {
-    // Resource-exhaustion hyperspace over a bounded-ingress deployment; the
-    // -defended variant runs the same space against the admission-control +
-    // fair-scheduling profile (the ablation pair).
-    core::PbftExecutorOptions options =
-        core::makeFloodExecutorOptions(system == "pbft-flood-defended");
-    options.baseSeed = seed;
-    return std::make_unique<core::PbftAttackExecutor>(
-        core::makeFloodHyperspace(), options);
-  }
-  if (system == "pbft-twins") {
-    // Safety-hunting hyperspace: twinned identities behind a deterministic
-    // partition schedule. A shorter measure window than the liveness
-    // systems — divergence shows up within the first virtual second — and
-    // a small client population keep each scenario cheap.
-    core::PbftExecutorOptions options;
-    options.pbft.requestTimeout = sim::msec(400);
-    options.pbft.viewChangeTimeout = sim::msec(400);
-    options.clientRetx = sim::msec(100);
-    options.link = sim::LinkModel{sim::msec(5), sim::usec(500)};
-    options.warmup = sim::msec(400);
-    options.measure = sim::msec(2000);
-    options.baseSeed = seed;
-    return std::make_unique<core::PbftAttackExecutor>(
-        core::makeTwinsHyperspace(), options);
-  }
-  if (system == "quorum") {
-    core::QuorumExecutorOptions options;
-    options.baseSeed = seed;
-    return std::make_unique<core::QuorumApiExecutor>(
-        core::makeQuorumApiHyperspace(), options);
-  }
-  std::fprintf(
-      stderr,
-      "unknown system '%s' (pbft|pbft-churn|pbft-flood|pbft-twins|quorum)\n",
-      system.c_str());
-  std::exit(2);
 }
 
 int cmdExplore(const Args& args) {
   const std::string system = args.get("system", "pbft");
   const std::string strategy = args.get("strategy", "avd");
-  const auto tests = static_cast<std::size_t>(args.getInt("tests", 60));
-  const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 2011));
+  const auto tests = static_cast<std::size_t>(args.getCount("tests", 60));
+  const std::uint64_t seed = args.getCount("seed", 2011);
   const double threshold = args.getDouble("threshold", 0.9);
 
   const auto executor = makeExecutor(system, seed);
@@ -364,15 +457,7 @@ int runFleetCampaign(const std::string& resumeDir,
         static_cast<std::size_t>(manifest->totalTests);
     options.batch = static_cast<std::size_t>(manifest->batch);
   }
-  if (system != "pbft" && system != "pbft-churn" && system != "pbft-flood" &&
-      system != "pbft-flood-defended" && system != "pbft-twins" &&
-      system != "quorum") {
-    std::fprintf(
-        stderr,
-        "unknown system '%s' (pbft|pbft-churn|pbft-flood|pbft-twins|quorum)\n",
-        system.c_str());
-    return 2;
-  }
+  if (findSystem(system) == nullptr) return 2;
   options.campaign.seed = seed;
   options.campaign.system = system;
 
@@ -416,20 +501,20 @@ int runFleetCampaign(const std::string& resumeDir,
 int cmdFleet(const Args& args) {
   campaign::fleet::FleetOptions options;
   options.campaign.totalTests =
-      static_cast<std::size_t>(args.getInt("tests", 200));
+      static_cast<std::size_t>(args.getCount("tests", 200));
   options.campaign.outDir = args.get("out", "");
   options.campaign.checkpointEvery =
-      static_cast<std::size_t>(args.getInt("checkpoint-every", 16));
-  options.campaign.scenarioTimeoutMs =
-      static_cast<std::uint64_t>(args.getInt("timeout-ms", 0));
+      static_cast<std::size_t>(args.getCount("checkpoint-every", 16));
+  options.campaign.scenarioTimeoutMs = args.getCount("timeout-ms", 0);
   options.campaign.dedupMinImpact = args.getDouble("min-impact", 0.5);
-  options.spawn = static_cast<std::size_t>(args.getInt("spawn", 2));
-  options.remoteSlots = static_cast<std::size_t>(args.getInt("remote", 0));
-  options.batch = static_cast<std::size_t>(args.getInt("batch", 4));
-  options.heartbeatMs =
-      static_cast<std::uint64_t>(args.getInt("heartbeat-ms", 200));
+  options.spawn = static_cast<std::size_t>(args.getCount("spawn", 2));
+  options.remoteSlots = static_cast<std::size_t>(args.getCount("remote", 0));
+  options.batch = static_cast<std::size_t>(args.getCount("batch", 4));
+  options.heartbeatMs = args.getCount("heartbeat-ms", 200);
   options.maxWorkerRespawns =
-      static_cast<std::size_t>(args.getInt("max-respawns", 8));
+      static_cast<std::size_t>(args.getCount("max-respawns", 8));
+  const std::uint64_t seed = args.getCount("seed", 2011);
+  const bool allowAnyBind = args.getCount("allow-any-bind", 0) != 0;
   const std::string bind = args.get("bind", "");
   if (!bind.empty()) {
     // ADDR or ADDR:PORT; PORT 0 (or absent) keeps the ephemeral default.
@@ -438,20 +523,17 @@ int cmdFleet(const Args& args) {
       options.bindAddr = bind;
     } else {
       options.bindAddr = bind.substr(0, colon);
-      options.bindPort =
-          static_cast<std::uint16_t>(std::atoll(bind.c_str() + colon + 1));
+      options.bindPort = portOf("bind", bind, colon);
     }
-    if (options.bindAddr == "0.0.0.0" &&
-        args.getInt("allow-any-bind", 0) == 0) {
+    if (options.bindAddr == "0.0.0.0" && !allowAnyBind) {
       std::fprintf(stderr,
                    "refusing to bind 0.0.0.0: the worker protocol is "
                    "unauthenticated; pass --allow-any-bind 1 to expose it\n");
       return 2;
     }
   }
-  return runFleetCampaign(
-      args.get("resume", ""), std::move(options), args.get("system", "quorum"),
-      static_cast<std::uint64_t>(args.getInt("seed", 2011)));
+  return runFleetCampaign(args.get("resume", ""), std::move(options),
+                          args.get("system", "quorum"), seed);
 }
 
 int cmdFleetWorker(const Args& args) {
@@ -465,9 +547,7 @@ int cmdFleetWorker(const Args& args) {
       return campaign::fleet::kWorkerExitBadConfig;
     }
     const std::string host = connect.substr(0, colon);
-    const auto port = static_cast<std::uint16_t>(
-        std::atoll(connect.c_str() + colon + 1));
-    const auto sock = util::connectTcp(host, port);
+    const auto sock = util::connectTcp(host, portOf("connect", connect, colon));
     if (!sock) {
       std::fprintf(stderr, "cannot connect to coordinator at %s\n",
                    connect.c_str());
@@ -484,16 +564,15 @@ int cmdFleetWorker(const Args& args) {
 int cmdCampaign(const Args& args) {
   const std::string resumeDir = args.get("resume", "");
   std::string system = args.get("system", "quorum");
-  std::uint64_t seed = static_cast<std::uint64_t>(args.getInt("seed", 2011));
+  std::uint64_t seed = args.getCount("seed", 2011);
 
   campaign::CampaignOptions options;
-  options.totalTests = static_cast<std::size_t>(args.getInt("tests", 200));
-  options.workers = static_cast<std::size_t>(args.getInt("workers", 1));
+  options.totalTests = static_cast<std::size_t>(args.getCount("tests", 200));
+  options.workers = static_cast<std::size_t>(args.getCount("workers", 1));
   options.outDir = args.get("out", "");
   options.checkpointEvery =
-      static_cast<std::size_t>(args.getInt("checkpoint-every", 16));
-  options.scenarioTimeoutMs =
-      static_cast<std::uint64_t>(args.getInt("timeout-ms", 0));
+      static_cast<std::size_t>(args.getCount("checkpoint-every", 16));
+  options.scenarioTimeoutMs = args.getCount("timeout-ms", 0);
   options.dedupMinImpact = args.getDouble("min-impact", 0.5);
 
   if (!resumeDir.empty()) {
@@ -516,15 +595,7 @@ int cmdCampaign(const Args& args) {
     options.totalTests = manifest->totalTests;
     options.workers = manifest->workers;
   }
-  if (system != "pbft" && system != "pbft-churn" && system != "pbft-flood" &&
-      system != "pbft-flood-defended" && system != "pbft-twins" &&
-      system != "quorum") {
-    std::fprintf(
-        stderr,
-        "unknown system '%s' (pbft|pbft-churn|pbft-flood|pbft-twins|quorum)\n",
-        system.c_str());
-    return 2;
-  }
+  if (findSystem(system) == nullptr) return 2;
   options.seed = seed;
   options.system = system;
 
@@ -550,8 +621,16 @@ int cmdCampaign(const Args& args) {
 
 int cmdAttack(const Args& args) {
   const std::string name = args.get("name", "big-mac");
-  const auto clients = static_cast<std::uint32_t>(args.getInt("clients", 20));
-  const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 17));
+  const auto clients = static_cast<std::uint32_t>(
+      args.getCount("clients", 20, std::numeric_limits<std::uint32_t>::max()));
+  const std::uint64_t seed = args.getCount("seed", 17);
+  // Flood overrides; parsed up front so a malformed one fails before the run
+  // even for attacks that ignore it.
+  const long long kind = args.getInt("kind", 1);
+  const auto rate = static_cast<sim::Time>(args.getCount(
+      "rate", 16000, std::numeric_limits<sim::Time>::max()));
+  const std::uint64_t bytes = args.getCount("bytes", 1);
+  const long long target = args.getInt("target", -1);
 
   pbft::DeploymentConfig config;
   if (name == "big-mac") {
@@ -599,16 +678,13 @@ int cmdAttack(const Args& args) {
   std::unique_ptr<fi::FloodClient> flood;
   if (name == "flood" || name == "flood-defended") {
     fi::FloodOptions floodOptions;
-    const auto kind = args.getInt("kind", 1);
     floodOptions.kind =
         kind >= 1 && kind <= 4 ? static_cast<fi::FloodKind>(kind)
                                : fi::FloodKind::kRequestSpam;
-    const auto rate = args.getInt("rate", 16000);
     floodOptions.interval =
         rate > 0 ? std::max<sim::Time>(sim::sec(1) / rate, 1) : sim::msec(1);
-    floodOptions.payloadBytes = static_cast<std::size_t>(
-        std::max<long long>(args.getInt("bytes", 1), 1));
-    const auto target = args.getInt("target", -1);
+    floodOptions.payloadBytes =
+        static_cast<std::size_t>(std::max<std::uint64_t>(bytes, 1));
     floodOptions.target =
         target >= 0 &&
                 target < static_cast<long long>(config.pbft.replicaCount())
@@ -674,19 +750,19 @@ int cmdAttack(const Args& args) {
 }
 
 int cmdPower(const Args& args) {
-  const auto budget = static_cast<std::size_t>(args.getInt("budget", 120));
+  const auto budget = static_cast<std::size_t>(args.getCount("budget", 120));
   const double threshold = args.getDouble("threshold", 0.95);
   std::vector<std::uint64_t> seeds;
-  {
-    std::string list = args.get("seeds", "11,22,33");
-    std::size_t start = 0;
-    while (start < list.size()) {
-      const std::size_t comma = list.find(',', start);
-      seeds.push_back(std::strtoull(
-          list.substr(start, comma - start).c_str(), nullptr, 10));
-      if (comma == std::string::npos) break;
-      start = comma + 1;
-    }
+  const std::string list = args.get("seeds", "11,22,33");
+  for (std::size_t start = 0;;) {
+    const std::size_t comma = list.find(',', start);
+    const auto seed = parseNumber<std::uint64_t>(
+        list.substr(start, comma - start), 0,
+        std::numeric_limits<std::uint64_t>::max());
+    if (!seed) badValue("seeds", list, "comma-separated whole numbers");
+    seeds.push_back(*seed);
+    if (comma == std::string::npos) break;
+    start = comma + 1;
   }
 
   std::printf("%-16s %8s %10s %14s\n", "power level", "found", "median",
@@ -714,15 +790,12 @@ int cmdPower(const Args& args) {
 }
 
 int cmdList() {
+  const char* label = "systems:";
+  for (const System& system : kSystems) {
+    std::printf("%-11s %-20s %s\n", label, system.name, system.summary);
+    label = "";
+  }
   std::printf(
-      "systems:    pbft (MAC-corruption hyperspace, 204800 scenarios)\n"
-      "            pbft-churn (crash-restart timing hyperspace)\n"
-      "            pbft-flood (resource-exhaustion hyperspace over a\n"
-      "                        bounded-ingress deployment; -defended runs\n"
-      "                        the same space with the Aardvark profile)\n"
-      "            pbft-twins (twinned-identity equivocation hyperspace;\n"
-      "                        hunts safety violations, not liveness)\n"
-      "            quorum (timestamp/victims/replica-behaviour space)\n"
       "strategies: avd (Algorithm 1), random, genetic\n"
       "attacks:    baseline        no attack, for reference numbers\n"
       "            big-mac         inconsistent authenticators -> view\n"

@@ -24,8 +24,7 @@ bool isGuardName(const std::string& name) {
          name == "scoped_lock" || name == "shared_lock";
 }
 
-/// std::mutex-family type token (optionally preceded by std::) or the
-/// lockdep wrapper type.
+/// std::mutex-family type token (optionally preceded by std::).
 bool isMutexType(const std::vector<Token>& toks, std::size_t i) {
   if (!isIdent(toks, i)) return false;
   const std::string& name = toks[i].text;
@@ -34,10 +33,6 @@ bool isMutexType(const std::vector<Token>& toks, std::size_t i) {
       name == "recursive_timed_mutex") {
     static const std::set<std::string> kStd = {"std"};
     return plainOrQualifiedBy(toks, i, kStd);
-  }
-  if (name == "Mutex") {
-    static const std::set<std::string> kLockdep = {"lockdep"};
-    return plainOrQualifiedBy(toks, i, kLockdep);
   }
   return false;
 }

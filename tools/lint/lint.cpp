@@ -331,8 +331,7 @@ void ruleDetachedThread(Ctx& ctx) {
 // was held", either directly (two guards in one scope) or through a call
 // (a function called with A held transitively acquires B). Any cycle in
 // that graph is a potential deadlock; any self-edge is a double acquisition
-// of a non-recursive mutex. The runtime lockdep in src/common/lockdep.h
-// checks the same invariant dynamically under AVD_SANITIZE builds.
+// of a non-recursive mutex.
 
 struct EdgeWitness {
   std::string file;
@@ -1340,8 +1339,7 @@ const std::vector<RuleInfo>& ruleRegistry() {
        "that joins it"},
       {"lock-order",
        "R7: the cross-file lock-acquisition graph must be acyclic; a cycle "
-       "or re-acquisition is a potential deadlock (cross-checked at runtime "
-       "by common/lockdep under AVD_SANITIZE)"},
+       "or re-acquisition is a potential deadlock"},
       {"timer-capture",
        "R8: setTimer callbacks capture by value only — no [&], no &name, "
        "no iterators into mutable containers"},
