@@ -193,6 +193,13 @@ CampaignResult FleetCoordinator::drive(
     std::map<std::uint64_t, DoneEvent> preFolded,
     std::map<std::uint64_t, std::uint64_t> nextIncarnation,
     Checkpoint carried) {
+  // A remote slot with no listener can never fill. resume() re-binds for
+  // the manifest's remote slots; if that bind failed, fail as loudly as
+  // the constructor does.
+  if (options_.remoteSlots > 0 && !listener_) {
+    throw std::runtime_error("fleet: cannot bind TCP listener on " +
+                             options_.bindAddr);
+  }
   CampaignResult result;
   result.failed = replayed.replayedFailed;
   result.timedOut = replayed.replayedTimedOut;

@@ -150,7 +150,7 @@ void Replica::multicastToReplicas(std::shared_ptr<M> message) {
 }
 
 void Replica::receive(util::NodeId from, const sim::MessagePtr& message) {
-  switch (static_cast<MsgKind>(message->kind())) {
+  switch (static_cast<MsgKind>(message->kind())) {  // no default: -Wswitch
     case MsgKind::kRequest:
       onRequest(from, std::static_pointer_cast<const RequestMessage>(message));
       break;

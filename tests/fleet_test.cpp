@@ -940,5 +940,31 @@ TEST(FleetTcp, UnbindableAddressFailsConstructionLoudly) {
                std::runtime_error);
 }
 
+TEST(FleetTcp, UnbindableAddressFailsResumeLoudly) {
+  // The manifest records one remote slot, so resume() must bind a listener
+  // the constructor (no remote slots of its own) never opened.
+  const std::string dir = scratchDir("resume_unbindable");
+  Manifest manifest;
+  manifest.system = "ridge";
+  manifest.seed = 64;
+  manifest.totalTests = 8;
+  manifest.workers = 2;
+  manifest.spawn = 1;
+  manifest.mode = "fleet";
+  manifest.batch = 1;
+  manifest.heartbeatMs = 50;
+  ASSERT_TRUE(writeManifest(dir, manifest));
+  writeAll(journalPath(dir), "");
+
+  ThreadFleet fleet;
+  FleetOptions options;
+  options.campaign.outDir = dir;
+  options.bindAddr = "203.0.113.1";  // TEST-NET-3: never a local interface
+  options.spawnGraceMs = 200;
+  options.launcher = fleet.launcher(ridgeWorkerFactory());
+  FleetCoordinator coordinator(std::move(options), ridgeFactory());
+  EXPECT_THROW(coordinator.resume(), std::runtime_error);
+}
+
 }  // namespace
 }  // namespace avd::campaign::fleet

@@ -1,5 +1,6 @@
 // Seeded violations for R1 `nondeterminism`. NOT compiled — linted by
 // lint_test.cpp, which expects one finding per marked line.
+#include <chrono>
 #include <cstdlib>
 #include <ctime>
 #include <random>
@@ -17,6 +18,11 @@ void seedFromWallClock() {
 unsigned hardwareEntropy() {
   std::random_device device;  // VIOLATION: std::random_device
   return device();
+}
+
+long long hostClockNs() {
+  const auto now = std::chrono::steady_clock::now();  // VIOLATION: host clock
+  return now.time_since_epoch().count();
 }
 
 // Legitimate uses that must NOT be flagged.

@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "effects.h"
+#include "index.h"
 #include "lexer.h"
 #include "lint.h"
 
@@ -44,15 +46,12 @@ std::size_t countRule(const std::vector<Finding>& findings,
 
 // --- Registry ---------------------------------------------------------------
 
-TEST(LintRegistry, ContainsTheEighteenRulesPlusMeta) {
+TEST(LintRegistry, ContainsTheThirteenRulesPlusMeta) {
   const auto& rules = ruleRegistry();
-  ASSERT_EQ(rules.size(), 19u);
-  EXPECT_TRUE(isKnownRule("determinism-boundary"));
+  ASSERT_EQ(rules.size(), 14u);
   EXPECT_TRUE(isKnownRule("syscall-discipline"));
   EXPECT_TRUE(isKnownRule("durability-ordering"));
   EXPECT_TRUE(isKnownRule("blocking-under-lock"));
-  EXPECT_TRUE(isKnownRule("wire-symmetry"));
-  EXPECT_TRUE(isKnownRule("handler-exhaustive"));
   EXPECT_TRUE(isKnownRule("quorum-consistency"));
   EXPECT_TRUE(isKnownRule("event-coverage"));
   EXPECT_TRUE(isKnownRule("nondeterminism"));
@@ -61,11 +60,14 @@ TEST(LintRegistry, ContainsTheEighteenRulesPlusMeta) {
   EXPECT_TRUE(isKnownRule("naked-lock"));
   EXPECT_TRUE(isKnownRule("unordered-iter"));
   EXPECT_TRUE(isKnownRule("detached-thread"));
-  EXPECT_TRUE(isKnownRule("lock-order"));
-  EXPECT_TRUE(isKnownRule("timer-capture"));
   EXPECT_TRUE(isKnownRule("tainted-size"));
   EXPECT_TRUE(isKnownRule("stale-suppression"));
   EXPECT_TRUE(isKnownRule("bad-suppression"));
+  // Unused ids: an allow() naming one of these is a bad-suppression.
+  for (const char* gone : {"lock-order", "timer-capture", "wire-symmetry",
+                           "handler-exhaustive", "determinism-boundary"}) {
+    EXPECT_FALSE(isKnownRule(gone)) << gone;
+  }
   EXPECT_FALSE(isKnownRule("no-such-rule"));
 }
 
@@ -74,14 +76,16 @@ TEST(LintRegistry, ContainsTheEighteenRulesPlusMeta) {
 TEST(LintR1, FixtureSeedsThreeViolationsAndNoFalsePositives) {
   const auto findings =
       lintFixture("nondeterminism.cc", "src/avd/fixture.cpp");
-  EXPECT_EQ(countRule(findings, "nondeterminism"), 4u)
-      << "rand, srand, time, random_device";
-  // Inside the determinism-critical scope, R15 independently reports the
-  // same leaves as direct nondeterministic effects.
-  EXPECT_EQ(countRule(findings, "determinism-boundary"), 4u);
-  EXPECT_EQ(findings.size(), countRule(findings, "nondeterminism") +
-                                 countRule(findings, "determinism-boundary"))
+  EXPECT_EQ(countRule(findings, "nondeterminism"), 5u)
+      << "rand, srand, time, random_device, steady_clock";
+  EXPECT_EQ(findings.size(), countRule(findings, "nondeterminism"))
       << "no other rule fires on this fixture";
+  // R1 is not scoped to the replay core: the same leaves fire anywhere
+  // outside common/rng.
+  EXPECT_EQ(countRule(lintFixture("nondeterminism.cc",
+                                  "src/campaign/stats_fixture.cpp"),
+                      "nondeterminism"),
+            5u);
 }
 
 TEST(LintR1, CommonRngIsExempt) {
@@ -385,93 +389,6 @@ TEST(LintTokenizer, RawStringWithDelimiterIsSkipped) {
   EXPECT_EQ(countRule(findings, "nondeterminism"), 0u);
 }
 
-// --- R7 lock-order -----------------------------------------------------------
-
-TEST(LintR7, FixtureSeedsDirectCallMediatedAndSelfInversions) {
-  const auto findings = lintFixture("lock_order.cc", "src/pbft/accounts.cpp");
-  EXPECT_EQ(countRule(findings, "lock-order"), 3u);
-  // The self-deadlock is reported as a re-acquisition, not a cycle.
-  EXPECT_TRUE(std::any_of(findings.begin(), findings.end(), [](const Finding& f) {
-    return f.rule == "lock-order" &&
-           f.message.find("re-acqui") != std::string::npos;
-  }));
-  // The call-mediated cycle names both mutexes of the Journal class.
-  EXPECT_TRUE(std::any_of(findings.begin(), findings.end(), [](const Finding& f) {
-    return f.rule == "lock-order" &&
-           f.message.find("Journal::bufMutex_") != std::string::npos &&
-           f.message.find("Journal::diskMutex_") != std::string::npos;
-  }));
-}
-
-TEST(LintR7, ConsistentOrderAndScopedReleaseAreClean) {
-  const auto findings =
-      lintFixture("lock_order_clean.cc", "src/pbft/accounts.cpp");
-  EXPECT_EQ(countRule(findings, "lock-order"), 0u);
-}
-
-TEST(LintR7, InversionAcrossTranslationUnitsIsDetected) {
-  // The mutex members live in a header; each TU takes them in the opposite
-  // order. Neither file alone has a cycle — only the repo-wide graph does.
-  const std::vector<SourceFile> files = {
-      {"src/net/channel.h",
-       "#include <mutex>\n"
-       "class Channel {\n"
-       " public:\n"
-       "  void send();\n"
-       "  void recv();\n"
-       " private:\n"
-       "  std::mutex txMutex_;\n"
-       "  std::mutex rxMutex_;\n"
-       "};\n"},
-      {"src/net/send.cpp",
-       "#include \"channel.h\"\n"
-       "void Channel::send() {\n"
-       "  const std::lock_guard<std::mutex> tx(txMutex_);\n"
-       "  const std::lock_guard<std::mutex> rx(rxMutex_);\n"
-       "}\n"},
-      {"src/net/recv.cpp",
-       "#include \"channel.h\"\n"
-       "void Channel::recv() {\n"
-       "  const std::lock_guard<std::mutex> rx(rxMutex_);\n"
-       "  const std::lock_guard<std::mutex> tx(txMutex_);\n"
-       "}\n"},
-  };
-  const auto findings = lintFiles(files);
-  EXPECT_EQ(countRule(findings, "lock-order"), 1u);
-}
-
-TEST(LintR7, DeferLockIsNotAnAcquisition) {
-  const auto findings = lintSource(
-      "src/pbft/x.cpp",
-      "#include <mutex>\n"
-      "class Pair {\n"
-      "  std::mutex aMutex_;\n"
-      "  std::mutex bMutex_;\n"
-      "  void both() {\n"
-      "    std::unique_lock<std::mutex> la(aMutex_, std::defer_lock);\n"
-      "    std::unique_lock<std::mutex> lb(bMutex_, std::defer_lock);\n"
-      "  }\n"
-      "  void reversed() {\n"
-      "    std::unique_lock<std::mutex> lb(bMutex_, std::defer_lock);\n"
-      "    std::unique_lock<std::mutex> la(aMutex_, std::defer_lock);\n"
-      "  }\n"
-      "};\n");
-  EXPECT_EQ(countRule(findings, "lock-order"), 0u);
-}
-
-// --- R8 timer-capture --------------------------------------------------------
-
-TEST(LintR8, FixtureSeedsRefCaptureAndIteratorCaptureViolations) {
-  const auto findings = lintFixture("timer_capture.cc", "src/sim/session.cpp");
-  EXPECT_EQ(countRule(findings, "timer-capture"), 3u);
-}
-
-TEST(LintR8, ValueCapturesOfThisAndPlainKeysAreClean) {
-  const auto findings =
-      lintFixture("timer_capture_clean.cc", "src/sim/session.cpp");
-  EXPECT_EQ(countRule(findings, "timer-capture"), 0u);
-}
-
 // --- R9 tainted-size ---------------------------------------------------------
 
 TEST(LintR9, FixtureSeedsUnclampedReserveAndLoopBound) {
@@ -548,55 +465,6 @@ TEST(LintR10, StaleSuppressionCannotSuppressItself) {
   EXPECT_EQ(unsuppressedCount(findings), findings.size());
 }
 
-// --- R11 wire-symmetry -------------------------------------------------------
-
-TEST(LintR11, FixtureSeedsReorderLoopAndTrailingFieldViolations) {
-  const auto findings =
-      lintFixture("wire_symmetry.cc", "src/pbft/wire_fixture.cpp");
-  EXPECT_EQ(countRule(findings, "wire-symmetry"), 3u)
-      << "reordered helper pair, loop-depth asymmetry, dropped trailing field";
-  EXPECT_EQ(findings.size(), countRule(findings, "wire-symmetry"))
-      << "no other rule fires on this fixture";
-}
-
-TEST(LintR11, SymmetricCodecIsClean) {
-  const auto findings =
-      lintFixture("wire_symmetry_clean.cc", "src/pbft/wire_fixture.cpp");
-  EXPECT_TRUE(findings.empty());
-}
-
-TEST(LintR11, ReorderingOneWireFieldBreaksTheCleanFixture) {
-  // The acceptance property: flipping any two fields of a clean codec must
-  // fail R11. Swap the decoder's id/seq reads of the clean fixture.
-  std::string source = readFixture("wire_symmetry_clean.cc");
-  const std::string ordered =
-      "header.id = reader.u32();\n  header.seq = reader.u64();";
-  const std::string swapped =
-      "header.seq = reader.u64();\n  header.id = reader.u32();";
-  const std::size_t at = source.find(ordered);
-  ASSERT_NE(at, std::string::npos);
-  source.replace(at, ordered.size(), swapped);
-  const auto findings = lintSource("src/pbft/wire_fixture.cpp", source);
-  EXPECT_EQ(countRule(findings, "wire-symmetry"), 1u);
-}
-
-// --- R12 handler-exhaustive --------------------------------------------------
-
-TEST(LintR12, FixtureSeedsAllThreeDispatchHoles) {
-  const auto findings =
-      lintFixture("handler_exhaustive.cc", "src/pbft/node_fixture.cpp");
-  EXPECT_EQ(countRule(findings, "handler-exhaustive"), 3u)
-      << "sent-but-unparsed, parsed-but-undispatched, dispatched-but-unparsed";
-  EXPECT_EQ(findings.size(), countRule(findings, "handler-exhaustive"))
-      << "no other rule fires on this fixture";
-}
-
-TEST(LintR12, ClosedDispatchPlaneIsClean) {
-  const auto findings =
-      lintFixture("handler_exhaustive_clean.cc", "src/pbft/node_fixture.cpp");
-  EXPECT_TRUE(findings.empty());
-}
-
 // --- R13 quorum-consistency --------------------------------------------------
 
 TEST(LintR13, FixtureSeedsNonCanonicalFormAndMagicNumber) {
@@ -657,91 +525,6 @@ TEST(LintR14, PlainFlagAssignmentIsNotAnEmission) {
       "  viewChangeInFlight_ = true;\n"
       "}\n");
   EXPECT_EQ(countRule(findings, "event-coverage"), 1u);
-}
-
-// --- R15 determinism-boundary ------------------------------------------------
-
-TEST(LintR15, FixtureSeedsClockAndRngLeavesInProtectedScope) {
-  const auto findings =
-      lintFixture("determinism_boundary.cc", "src/sim/sched_fixture.cpp");
-  EXPECT_EQ(countRule(findings, "determinism-boundary"), 2u)
-      << "steady_clock leaf and rand leaf, one finding each";
-  EXPECT_EQ(countRule(findings, "nondeterminism"), 2u)
-      << "R1 flags the same leaves as spelled nondeterminism";
-  EXPECT_EQ(findings.size(),
-            countRule(findings, "determinism-boundary") +
-                countRule(findings, "nondeterminism"));
-}
-
-TEST(LintR15, SeededGeneratorInProtectedScopeIsClean) {
-  const auto findings =
-      lintFixture("determinism_boundary_clean.cc", "src/sim/sched_fixture.cpp");
-  EXPECT_TRUE(findings.empty());
-}
-
-TEST(LintR15, SameLeavesOutsideProtectedScopeDrawNoBoundaryFinding) {
-  // The leaves still violate R1 everywhere, but R15 is scoped to the
-  // deterministic replay core (sim/pbft/avd).
-  const auto findings =
-      lintFixture("determinism_boundary.cc", "src/campaign/stats_fixture.cpp");
-  EXPECT_EQ(countRule(findings, "determinism-boundary"), 0u);
-  EXPECT_EQ(countRule(findings, "nondeterminism"), 2u);
-}
-
-TEST(LintR15, TwinsToolIsInsideTheProtectedScope) {
-  // The twin schedule must be a pure function of (node id, virtual time):
-  // a wall-clock or ambient-rng leaf there changes which instance peers
-  // reach run to run, desynchronizing same-seed campaigns.
-  const auto findings =
-      lintFixture("determinism_boundary.cc", "src/faultinject/twins.cpp");
-  EXPECT_EQ(countRule(findings, "determinism-boundary"), 2u);
-}
-
-TEST(LintR15, EffectPropagatesAcrossTranslationUnits) {
-  // The sim TU spells no nondeterministic leaf; the effect is imported
-  // through a call into a helper TU, and the finding lands on the call
-  // site with the true leaf as witness root.
-  const std::vector<SourceFile> files = {
-      {"src/campaign/stats_fixture.cpp",
-       readFixture("effect_propagation_util.cc")},
-      {"src/sim/sched_fixture.cpp", readFixture("effect_propagation_sim.cc")},
-  };
-  const auto findings = lintFiles(files);
-  ASSERT_EQ(countRule(findings, "determinism-boundary"), 1u);
-  for (const Finding& f : findings) {
-    if (f.rule != "determinism-boundary") continue;
-    EXPECT_EQ(f.file, "src/sim/sched_fixture.cpp");
-    EXPECT_NE(f.message.find("wallNowMs"), std::string::npos);
-    EXPECT_NE(f.message.find("system_clock"), std::string::npos)
-        << "the witness chain names the leaf, not just the callee";
-  }
-  EXPECT_EQ(countRule(findings, "nondeterminism"), 1u)
-      << "R1 still flags the leaf itself, in the helper TU";
-}
-
-TEST(LintR15, EffectsDeferToCommonRngAcrossTranslationUnits) {
-  // common/rng is the sanctioned randomness source: its functions are
-  // masked to pure, so calling into it from the protected scope is legal.
-  const std::vector<SourceFile> files = {
-      {"src/common/rng/ambient_fixture.cpp",
-       "unsigned ambientSeed() { return std::random_device{}(); }\n"},
-      {"src/sim/sched_fixture.cpp",
-       "unsigned ambientSeed();\n"
-       "unsigned seedLane() { return ambientSeed() % 64; }\n"},
-  };
-  const auto findings = lintFiles(files);
-  EXPECT_EQ(countRule(findings, "determinism-boundary"), 0u);
-  EXPECT_EQ(countRule(findings, "nondeterminism"), 0u);
-}
-
-TEST(LintR15, AllowNondeterminismCommentAlsoQuietsTheEffectLeaf) {
-  const auto findings = lintSource(
-      "src/sim/sched_fixture.cpp",
-      "long long seedStamp() {\n"
-      "  return time(nullptr);  // avd-lint: allow(nondeterminism)\n"
-      "}\n");
-  EXPECT_EQ(countRule(findings, "determinism-boundary"), 0u);
-  EXPECT_EQ(countRule(findings, "nondeterminism"), 0u);
 }
 
 // --- R16 syscall-discipline --------------------------------------------------
@@ -850,6 +633,31 @@ TEST(LintR18, BlockingCalleeResolvedAcrossTranslationUnits) {
   }
 }
 
+// --- Effect inference --------------------------------------------------------
+
+TEST(LintEffects, CommonRngMaskHoldsAcrossTranslationUnits) {
+  // common/rng is the sanctioned randomness source: its functions are
+  // masked to pure, so a caller in another TU imports no rng effect.
+  std::vector<SourceFile> files = {
+      {"src/common/rng/ambient_fixture.cpp",
+       "unsigned ambientSeed() { return std::random_device{}(); }\n"},
+      {"src/sim/sched_fixture.cpp",
+       "unsigned ambientSeed();\n"
+       "unsigned seedLane() { return ambientSeed() % 64; }\n"},
+  };
+  const auto seedLaneEffects = [](const std::vector<SourceFile>& set) {
+    const RepoIndex index = buildIndex(set);
+    const EffectIndex effects = inferEffects(index);
+    return effects.fn[effects.flatIndex.at({1, 0})].total;
+  };
+  EXPECT_EQ(seedLaneEffects(files), 0u);
+  EXPECT_EQ(countRule(lintFiles(files), "nondeterminism"), 0u);
+
+  // The same helper outside common/rng leaks its rng effect to the caller.
+  files[0].path = "src/campaign/ambient_fixture.cpp";
+  EXPECT_EQ(seedLaneEffects(files), kEffectRng);
+}
+
 // --- Lexer hardening ---------------------------------------------------------
 
 TEST(LintLexer, RawStringLiteralIsOneTokenAndHidesItsContent) {
@@ -900,49 +708,6 @@ TEST(LintLexer, IfConstexprBodyIsStillLinted) {
       "  return 0;\n"
       "}\n");
   EXPECT_EQ(countRule(findings, "nondeterminism"), 1u);
-}
-
-// --- Baseline ratchet --------------------------------------------------------
-
-TEST(LintBaseline, JsonRoundTripsThroughParse) {
-  const std::vector<Finding> findings = {
-      {"src/a.cpp", 12, "naked-lock", "call .lock() \"quoted\"", false},
-      {"src/b.cpp", 7, "nondeterminism", "rand() seeds\\path", false},
-  };
-  const auto parsed = parseFindingsJson(toJson(findings));
-  ASSERT_EQ(parsed.size(), 2u);
-  EXPECT_EQ(parsed[0].file, "src/a.cpp");
-  EXPECT_EQ(parsed[0].line, 12u);
-  EXPECT_EQ(parsed[0].rule, "naked-lock");
-  EXPECT_EQ(parsed[0].message, "call .lock() \"quoted\"");
-  EXPECT_EQ(parsed[1].message, "rand() seeds\\path");
-}
-
-TEST(LintBaseline, EmptyArrayParsesToNoFindings) {
-  EXPECT_TRUE(parseFindingsJson("[]").empty());
-  EXPECT_TRUE(parseFindingsJson(" [\n] \n").empty());
-}
-
-TEST(LintBaseline, DiffIgnoresLineNumbersButCountsMultiplicity) {
-  const std::vector<Finding> current = {
-      {"src/a.cpp", 40, "naked-lock", "m", false},   // moved: was line 12
-      {"src/a.cpp", 41, "naked-lock", "m", false},   // second copy: new
-      {"src/b.cpp", 9, "tainted-size", "t", false},  // brand new
-  };
-  const std::vector<Finding> baseline = {
-      {"src/a.cpp", 12, "naked-lock", "m", false},
-  };
-  const auto fresh = diffAgainstBaseline(current, baseline);
-  ASSERT_EQ(fresh.size(), 2u);
-  EXPECT_EQ(fresh[0].rule, "naked-lock");
-  EXPECT_EQ(fresh[1].rule, "tainted-size");
-}
-
-TEST(LintBaseline, BaselinedFindingThatWasFixedJustDisappears) {
-  const std::vector<Finding> baseline = {
-      {"src/a.cpp", 12, "naked-lock", "m", false},
-  };
-  EXPECT_TRUE(diffAgainstBaseline({}, baseline).empty());
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // then B, and a second thread, started after the first has finished, takes
 // B then A. The program never deadlocks, but the order graph has a cycle,
 // so a ThreadSanitizer build must report a lock-order inversion. This is
-// the standing check that the TSan leg catches at run time what avd_lint
-// R7 checks statically.
+// the standing check that the TSan leg, the repo's lock-order checker,
+// catches an inversion.
 #include <mutex>
 #include <thread>
 

@@ -15,9 +15,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <utility>
 #include <vector>
 
+#include "avd/gen/protocol_events.h"
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "pbft/message.h"
@@ -154,18 +156,26 @@ void expectTotalAndCanonical(const char* kindName, const util::Bytes& frame,
 }
 
 TEST(WireCorpus, CorpusCoversEveryMessageKind) {
-  const auto frames = corpus();
-  ASSERT_EQ(frames.size(), 12u);
-  std::vector<bool> seen(frames.size() + 2, false);
-  for (const auto& [name, frame] : frames) {
-    ASSERT_FALSE(frame.empty()) << name;
+  // The kind list is the generated taxonomy's message entries (one per
+  // MsgKind enumerator, gated by lint.gen), so a new kind with no encode
+  // arm, no decode arm or no corpus frame fails here.
+  std::set<std::uint32_t> decodedKinds;
+  for (const auto& [name, frame] : corpus()) {
+    ASSERT_FALSE(frame.empty()) << name << " has no encode arm";
     const sim::MessagePtr decoded = wire::decode(frame);
-    ASSERT_NE(decoded, nullptr) << name;
-    seen[decoded->kind()] = true;
+    ASSERT_NE(decoded, nullptr) << name << " does not decode";
+    decodedKinds.insert(decoded->kind());
   }
-  for (std::uint32_t kind = 1; kind <= 12; ++kind) {
-    EXPECT_TRUE(seen[kind]) << "MsgKind " << kind << " missing from corpus";
+  std::set<std::uint32_t> messageKinds;
+  for (const gen::ProtocolEventInfo& event : gen::kProtocolEvents) {
+    if (event.wireKind == 0) continue;
+    messageKinds.insert(event.wireKind);
+    EXPECT_TRUE(decodedKinds.contains(event.wireKind))
+        << event.name << " (MsgKind " << event.wireKind
+        << ") missing from corpus";
   }
+  EXPECT_EQ(decodedKinds, messageKinds)
+      << "every corpus frame decodes to a kind the taxonomy lists";
 }
 
 TEST(WireCorpus, TruncationAtEveryOffsetIsRejectedForEveryKind) {

@@ -111,13 +111,6 @@ const std::set<std::string>& chronoClockTypes() {
   return kSet;
 }
 
-bool suppressedNondetLine(const Suppressions& sup, std::size_t line) {
-  auto it = sup.byLine.find(line);
-  if (it == sup.byLine.end()) return false;
-  return it->second.contains("*") || it->second.contains("nondeterminism") ||
-         it->second.contains("determinism-boundary");
-}
-
 // How the identifier at `i` is spelled as a call head. Phase 4 needs its
 // own helper (not plainOrQualifiedBy) because global qualification
 // (`::open`) is exactly the form the POSIX tables require, and that helper
@@ -233,13 +226,6 @@ bool designatedEffectModule(const std::string& path) {
   return false;
 }
 
-bool determinismCriticalPath(const std::string& path) {
-  return path.find("sim/") != std::string::npos ||
-         path.find("pbft/") != std::string::npos ||
-         path.find("avd/") != std::string::npos ||
-         path.find("faultinject/twins") != std::string::npos;
-}
-
 std::vector<LeafSite> harvestLeafSites(const FileIndex& file,
                                        const FunctionInfo& fn) {
   std::vector<LeafSite> out;
@@ -251,20 +237,15 @@ std::vector<LeafSite> harvestLeafSites(const FileIndex& file,
   for (std::size_t i = fn.bodyBegin; i < fn.bodyEnd && i < toks.size(); ++i) {
     if (!isIdent(toks, i)) continue;
     const std::string& name = toks[i].text;
-    const std::size_t line = toks[i].line;
 
     // Type-level time/rng leaves: not calls, matched at the type token.
     if (chronoClockTypes().contains(name) &&
         plainOrQualifiedBy(toks, i, kChronoNs)) {
-      if (!suppressedNondetLine(file.suppressions, line)) {
-        pushLeaf(out, toks, i, name, kEffectTime, false, false, false);
-      }
+      pushLeaf(out, toks, i, name, kEffectTime, false, false, false);
       continue;
     }
     if (name == "random_device" && plainOrQualifiedBy(toks, i, kStdNs)) {
-      if (!suppressedNondetLine(file.suppressions, line)) {
-        pushLeaf(out, toks, i, name, kEffectRng, false, false, false);
-      }
+      pushLeaf(out, toks, i, name, kEffectRng, false, false, false);
       continue;
     }
     // std::filesystem operations and stream objects: a filesystem effect at
@@ -297,20 +278,15 @@ std::vector<LeafSite> harvestLeafSites(const FileIndex& file,
 
     // Libc time/rng: plain or std-qualified (they come from <ctime> /
     // <cstdlib> both ways). Not marked as POSIX leaves — nondeterminism
-    // is R1/R15's charter, the R16 module boundary is for the syscall
-    // surface.
+    // is R1's charter, the R16 module boundary is for the syscall surface.
     const bool plainOrStd =
         shape.global || shape.qualifier.empty() || shape.qualifier == "std";
     if (libcTimeCalls().contains(name) && plainOrStd) {
-      if (!suppressedNondetLine(file.suppressions, line)) {
-        pushLeaf(out, toks, i, name, kEffectTime, false, false, shape.global);
-      }
+      pushLeaf(out, toks, i, name, kEffectTime, false, false, shape.global);
       continue;
     }
     if (libcRngCalls().contains(name) && plainOrStd) {
-      if (!suppressedNondetLine(file.suppressions, line)) {
-        pushLeaf(out, toks, i, name, kEffectRng, false, false, shape.global);
-      }
+      pushLeaf(out, toks, i, name, kEffectRng, false, false, shape.global);
       continue;
     }
 
@@ -376,10 +352,10 @@ EffectIndex inferEffects(const RepoIndex& index) {
     }
   }
 
-  // Quadratic worklist over the call graph, like the R7 lock-order
-  // fixpoint: each pass unions every resolvable callee's total into the
-  // caller until nothing changes. Effects only accumulate, so the pass
-  // count is bounded by kEffectCount * |functions|.
+  // Quadratic worklist over the call graph: each pass unions every
+  // resolvable callee's total into the caller until nothing changes.
+  // Effects only accumulate, so the pass count is bounded by
+  // kEffectCount * |functions|.
   bool changed = true;
   while (changed) {
     changed = false;

@@ -8,16 +8,13 @@
 // `std::filesystem`, `std::ofstream`), sockets (`::send`, `::poll`),
 // process control (`::fork`, `::waitpid`, `std::signal`), and blocking
 // waits (`sleep_for`, a blocking `::recv`, `thread::join`). A call-graph
-// fixpoint — the same quadratic worklist R7 uses for lock sets — then
-// propagates those leaves into a per-function *total* effect set, with a
-// witness chain (the call site that imported the effect plus the ultimate
-// leaf) kept per effect bit for diagnostics.
+// fixpoint (a quadratic worklist) then propagates those leaves into a
+// per-function *total* effect set, with a witness chain (the call site
+// that imported the effect plus the ultimate leaf) kept per effect bit for
+// diagnostics.
 //
 // The rules that consume the inference live in lint.cpp:
 //
-//   R15 determinism-boundary  no time/rng effect reachable from the
-//                             replica/simulator/controller paths, except
-//                             through common/rng
 //   R16 syscall-discipline    raw POSIX confined to the designated effect
 //                             modules; interruptible calls check their
 //                             result and retry EINTR
@@ -54,7 +51,6 @@ inline constexpr unsigned kEffectNet = 1u << 3;    // sockets / network
 inline constexpr unsigned kEffectProc = 1u << 4;   // process control
 inline constexpr unsigned kEffectBlock = 1u << 5;  // blocking wait
 inline constexpr std::size_t kEffectCount = 6;
-inline constexpr unsigned kEffectNondet = kEffectTime | kEffectRng;
 
 /// Canonical short name of one effect bit ("time", "rng", ...).
 const char* effectName(std::size_t bitIndex);
@@ -79,11 +75,7 @@ struct LeafSite {
 /// simulator's `send(to, msg)` message plane shares names with libc.
 bool globalCallForm(const std::vector<Token>& toks, std::size_t i);
 
-/// Harvests every leaf effect site of one function. Nondeterminism leaves
-/// (time/rng) on lines carrying an `allow(nondeterminism)` or
-/// `allow(determinism-boundary)` directive are skipped entirely — a
-/// sanctioned wall-clock read (bench timing) must not leak its effect into
-/// callers through the fixpoint.
+/// Harvests every leaf effect site of one function.
 std::vector<LeafSite> harvestLeafSites(const FileIndex& file,
                                        const FunctionInfo& fn);
 
@@ -113,10 +105,6 @@ struct EffectIndex {
 /// The modules allowed to contain raw POSIX calls (R16); everything else
 /// must route the effect through one of them.
 bool designatedEffectModule(const std::string& path);
-
-/// The replay-critical scope of R15: simulator, replica, and controller
-/// sources, where every run must be a pure function of the seed.
-bool determinismCriticalPath(const std::string& path);
 
 /// Phase 4 entry point: harvest leaves, run the call-graph fixpoint.
 /// Functions defined under common/rng are the sanctioned randomness

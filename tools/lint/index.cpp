@@ -43,13 +43,6 @@ const std::set<std::string>& readerAccessorSet() {
   return kAccessors;
 }
 
-const std::set<std::string>& iteratorYieldingMembers() {
-  static const std::set<std::string> kMembers = {
-      "begin", "cbegin", "rbegin", "end",   "cend", "rend",
-      "find",  "lower_bound",      "upper_bound",   "erase", "insert"};
-  return kMembers;
-}
-
 /// Splits the token range (begin, end) — exclusive of the delimiters — into
 /// top-level comma-separated argument ranges.
 std::vector<std::pair<std::size_t, std::size_t>> splitArgs(
@@ -207,7 +200,6 @@ void scanBody(const std::vector<Token>& toks, FunctionInfo& fn) {
       // Guards declared in the closing block die here.
       for (auto it = active.begin(); it != active.end();) {
         if (fn.locks[*it].scopeDepth == depth) {
-          fn.locks[*it].scopeEnd = i;
           it = active.erase(it);
         } else {
           ++it;
@@ -256,78 +248,12 @@ void scanBody(const std::vector<Token>& toks, FunctionInfo& fn) {
         if (mutexName.empty()) continue;
         LockSite site;
         site.mutexName = std::move(mutexName);
-        site.tokenIndex = i;
-        site.line = toks[i].line;
         site.scopeDepth = depth;
-        site.scopeEnd = end;  // refined when the block closes
         site.deferred = deferred;
         fn.locks.push_back(std::move(site));
         if (!deferred) active.push_back(fn.locks.size() - 1);
       }
       i = argsEnd;
-      continue;
-    }
-
-    // setTimer with a lambda-literal callback.
-    if (name == "setTimer" && text(toks, i + 1) == "(") {
-      const std::size_t argsEnd = skipBalanced(toks, i + 1, "(", ")");
-      const auto args = splitArgs(toks, i + 2, argsEnd - 1);
-      for (const auto& [ab, ae] : args) {
-        if (ab >= ae || toks[ab].text != "[") continue;
-        const std::size_t capEnd = skipBalanced(toks, ab, "[", "]");
-        TimerLambda timer;
-        timer.line = toks[i].line;
-        const auto captures = splitArgs(toks, ab + 1, capEnd - 1);
-        for (const auto& [cb, ce] : captures) {
-          if (cb >= ce) continue;
-          if (toks[cb].text == "&") {
-            if (ce - cb == 1) {
-              timer.capturesAllByRef = true;
-            } else if (isIdent(toks, cb + 1)) {
-              timer.refCaptures.push_back(toks[cb + 1].text);
-            }
-          } else if (isIdent(toks, cb)) {
-            timer.valueCaptures.push_back(toks[cb].text);
-          }
-        }
-        fn.timers.push_back(std::move(timer));
-        break;  // one callback per setTimer call
-      }
-      // Fall through to the generic scan so captures/locks inside the
-      // lambda body are still attributed to this function.
-      ++i;
-      continue;
-    }
-
-    // Iterator-typed local: `auto it = container.find(...)` and friends.
-    if (name == "auto") {
-      std::size_t j = i + 1;
-      while (text(toks, j) == "const" || text(toks, j) == "&" ||
-             text(toks, j) == "*") {
-        ++j;
-      }
-      if (isIdent(toks, j) && text(toks, j + 1) == "=") {
-        std::size_t k = j + 2;
-        std::size_t exprDepth = 0;
-        bool iteratorInit = false;
-        while (k < end) {
-          const std::string& e = toks[k].text;
-          if (e == "(" || e == "{" || e == "[") ++exprDepth;
-          if (e == ")" || e == "}" || e == "]") {
-            if (exprDepth == 0) break;
-            --exprDepth;
-          }
-          if (e == ";" && exprDepth == 0) break;
-          if ((e == "." || e == "->") && isIdent(toks, k + 1) &&
-              iteratorYieldingMembers().contains(toks[k + 1].text) &&
-              text(toks, k + 2) == "(") {
-            iteratorInit = true;
-          }
-          ++k;
-        }
-        if (iteratorInit) fn.iteratorLocals.insert(toks[j].text);
-      }
-      ++i;
       continue;
     }
 
@@ -370,10 +296,6 @@ void scanBody(const std::vector<Token>& toks, FunctionInfo& fn) {
       fn.calls.push_back(std::move(call));
     }
     ++i;
-  }
-  // Function-exit: close any still-active guard scopes.
-  for (const std::size_t lockIdx : active) {
-    fn.locks[lockIdx].scopeEnd = end;
   }
 }
 

@@ -4,8 +4,7 @@
 // cross-file rules reason over: function definitions (with owning class),
 // mutex declarations (class members, locals, globals), RAII lock-acquisition
 // sites with their lexical scopes, call sites with the set of locks held at
-// the call, `setTimer` callback lambdas with their capture lists, iterator-
-// typed locals, and `ByteReader` read sites. Phase 2 (lint.cpp) runs the
+// the call, and `ByteReader` read sites. Phase 2 (lint.cpp) runs the
 // rule families over the finished index; nothing in this module reports
 // findings except the lexer's directive errors carried through.
 //
@@ -31,10 +30,7 @@ namespace avd::lint {
 struct LockSite {
   std::string mutexName;     // identifier at the guard site (e.g. "mutex_")
   std::string mutexId;       // canonical identity, resolved by finishIndex()
-  std::size_t tokenIndex = 0;
-  std::size_t line = 0;
   std::size_t scopeDepth = 0;  // brace depth where the guard lives
-  std::size_t scopeEnd = 0;    // token index where the guard dies
   bool deferred = false;       // std::defer_lock / try_to_lock: not acquired
 };
 
@@ -44,14 +40,6 @@ struct CallSite {
   std::size_t tokenIndex = 0;
   std::size_t line = 0;
   std::vector<std::size_t> heldLocks;  // indices into FunctionInfo::locks
-};
-
-/// One setTimer(...) invocation whose callback is a lambda literal.
-struct TimerLambda {
-  std::size_t line = 0;
-  bool capturesAllByRef = false;        // [&] default capture
-  std::vector<std::string> refCaptures;    // [&name] explicit by-reference
-  std::vector<std::string> valueCaptures;  // [name] / [name = init] by value
 };
 
 /// A `reader.u32()`-family read, with the variable it initializes (if the
@@ -71,10 +59,8 @@ struct FunctionInfo {
   std::size_t bodyEnd = 0;    // token index one past the closing '}'
   std::vector<LockSite> locks;
   std::vector<CallSite> calls;
-  std::vector<TimerLambda> timers;
   std::vector<ReaderRead> readerReads;
-  std::set<std::string> iteratorLocals;  // names assigned from begin()/find()
-  std::set<std::string> localMutexes;    // mutexes declared in the body
+  std::set<std::string> localMutexes;  // mutexes declared in the body
 };
 
 struct FileIndex {

@@ -326,231 +326,6 @@ void ruleDetachedThread(Ctx& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// R7 `lock-order` — build the static lock-acquisition graph across function
-// boundaries and flag cycles. An edge A -> B means "B was acquired while A
-// was held", either directly (two guards in one scope) or through a call
-// (a function called with A held transitively acquires B). Any cycle in
-// that graph is a potential deadlock; any self-edge is a double acquisition
-// of a non-recursive mutex.
-
-struct EdgeWitness {
-  std::string file;
-  std::size_t line = 0;
-  std::string detail;
-};
-
-bool witnessLess(const EdgeWitness& a, const EdgeWitness& b) {
-  if (a.file != b.file) return a.file < b.file;
-  return a.line < b.line;
-}
-
-/// True when lock `holder` is still held at token `at` inside its function.
-bool heldAt(const LockSite& holder, std::size_t at) {
-  return !holder.deferred && holder.tokenIndex < at && at < holder.scopeEnd;
-}
-
-void ruleLockOrder(const RepoIndex& index,
-                   std::map<std::string, std::vector<Finding>>& byFile) {
-  // Flatten functions and seed each with the mutexes it acquires itself.
-  struct FnRef {
-    std::size_t file;
-    std::size_t fn;
-  };
-  std::vector<FnRef> flat;
-  std::map<std::pair<std::size_t, std::size_t>, std::size_t> flatIndex;
-  for (std::size_t f = 0; f < index.files.size(); ++f) {
-    for (std::size_t g = 0; g < index.files[f].functions.size(); ++g) {
-      flatIndex[{f, g}] = flat.size();
-      flat.push_back({f, g});
-    }
-  }
-  std::vector<std::set<std::string>> acquires(flat.size());
-  for (std::size_t i = 0; i < flat.size(); ++i) {
-    const FunctionInfo& fn =
-        index.files[flat[i].file].functions[flat[i].fn];
-    for (const LockSite& lock : fn.locks) {
-      if (!lock.deferred) acquires[i].insert(lock.mutexId);
-    }
-  }
-
-  // Transitive closure over the unqualified-name call graph (fixpoint; the
-  // graph is tiny, so the quadratic worklist is fine).
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t i = 0; i < flat.size(); ++i) {
-      const FunctionInfo& fn =
-          index.files[flat[i].file].functions[flat[i].fn];
-      for (const CallSite& call : fn.calls) {
-        auto [lo, hi] = index.functionsByName.equal_range(call.callee);
-        for (auto it = lo; it != hi; ++it) {
-          const std::size_t j = flatIndex.at(it->second);
-          for (const std::string& m : acquires[j]) {
-            if (acquires[i].insert(m).second) changed = true;
-          }
-        }
-      }
-    }
-  }
-
-  // Edge set with one (deterministic: lexicographically first) witness each.
-  std::map<std::pair<std::string, std::string>, EdgeWitness> edges;
-  const auto addEdge = [&](const std::string& from, const std::string& to,
-                           EdgeWitness witness) {
-    auto [it, inserted] = edges.emplace(std::make_pair(from, to), witness);
-    if (!inserted && witnessLess(witness, it->second)) {
-      it->second = std::move(witness);
-    }
-  };
-
-  for (std::size_t i = 0; i < flat.size(); ++i) {
-    const FileIndex& file = index.files[flat[i].file];
-    const FunctionInfo& fn = file.functions[flat[i].fn];
-    // Direct: guard taken while another guard is alive in the same body.
-    for (const LockSite& inner : fn.locks) {
-      if (inner.deferred) continue;
-      for (const LockSite& outer : fn.locks) {
-        if (&outer == &inner || !heldAt(outer, inner.tokenIndex)) continue;
-        addEdge(outer.mutexId, inner.mutexId,
-                {file.path, inner.line,
-                 fn.qualified + " acquires '" + inner.mutexId +
-                     "' while holding '" + outer.mutexId + "'"});
-      }
-    }
-    // Indirect: call made with locks held, callee transitively acquires.
-    for (const CallSite& call : fn.calls) {
-      if (call.heldLocks.empty()) continue;
-      auto [lo, hi] = index.functionsByName.equal_range(call.callee);
-      for (auto it = lo; it != hi; ++it) {
-        const std::size_t j = flatIndex.at(it->second);
-        if (j == flatIndex.at({flat[i].file, flat[i].fn})) continue;
-        for (const std::string& m : acquires[j]) {
-          for (const std::size_t h : call.heldLocks) {
-            addEdge(fn.locks[h].mutexId, m,
-                    {file.path, call.line,
-                     fn.qualified + " calls " + call.callee +
-                         "() (which acquires '" + m + "') while holding '" +
-                         fn.locks[h].mutexId + "'"});
-          }
-        }
-      }
-    }
-  }
-
-  // Self-edges: double acquisition of a (non-recursive) mutex.
-  std::map<std::string, std::vector<std::string>> adjacency;
-  for (const auto& [edge, witness] : edges) {
-    if (edge.first == edge.second) {
-      byFile[witness.file].push_back(
-          {witness.file, witness.line, "lock-order",
-           "re-acquisition of '" + edge.first +
-               "' while already held (" + witness.detail +
-               "); self-deadlock on a non-recursive mutex"});
-    } else {
-      adjacency[edge.first].push_back(edge.second);
-    }
-  }
-
-  // Cycles among distinct mutexes: iterative DFS from every node; report
-  // each cycle once, keyed by its sorted node set.
-  std::set<std::set<std::string>> reported;
-  for (const auto& [start, unused] : adjacency) {
-    (void)unused;
-    // DFS stack of (node, next-neighbor index) with the current path.
-    std::vector<std::pair<std::string, std::size_t>> stack{{start, 0}};
-    std::set<std::string> onPath{start};
-    while (!stack.empty()) {
-      auto& [node, next] = stack.back();
-      const auto it = adjacency.find(node);
-      if (it == adjacency.end() || next >= it->second.size()) {
-        onPath.erase(node);
-        stack.pop_back();
-        continue;
-      }
-      const std::string& succ = it->second[next++];
-      if (succ == start) {
-        // Found a cycle through `start`: collect it from the stack.
-        std::set<std::string> nodes;
-        std::vector<std::string> path;
-        for (const auto& [n, unused2] : stack) {
-          (void)unused2;
-          nodes.insert(n);
-          path.push_back(n);
-        }
-        if (reported.insert(nodes).second) {
-          std::string desc;
-          EdgeWitness first{};
-          bool haveFirst = false;
-          for (std::size_t p = 0; p < path.size(); ++p) {
-            const std::string& from = path[p];
-            const std::string& to = path[(p + 1) % path.size()];
-            const EdgeWitness& w = edges.at({from, to});
-            if (!haveFirst || witnessLess(w, first)) {
-              first = w;
-              haveFirst = true;
-            }
-            if (!desc.empty()) desc += "; ";
-            desc += "'" + from + "' -> '" + to + "' at " + w.file + ":" +
-                    std::to_string(w.line);
-          }
-          byFile[first.file].push_back(
-              {first.file, first.line, "lock-order",
-               "lock-order cycle (potential deadlock): " + desc});
-        }
-        continue;
-      }
-      if (onPath.contains(succ)) continue;  // cycle not through `start`
-      onPath.insert(succ);
-      stack.emplace_back(succ, 0);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// R8 `timer-capture` — a setTimer callback outlives the statement that
-// created it by design; by the time it fires, references and iterators
-// captured at arm time may point into freed or rehashed storage (the stale
-// timer bug class the sim's incarnation counters exist to suppress).
-// Callbacks must capture by value — keys, ids, and `this` (the incarnation
-// guard makes `this` safe), never `[&]`, `[&name]`, or an iterator local.
-
-void ruleTimerCapture(const RepoIndex& index,
-                      std::map<std::string, std::vector<Finding>>& byFile) {
-  for (const FileIndex& file : index.files) {
-    for (const FunctionInfo& fn : file.functions) {
-      for (const TimerLambda& timer : fn.timers) {
-        auto& out = byFile[file.path];
-        if (timer.capturesAllByRef) {
-          out.push_back(
-              {file.path, timer.line, "timer-capture",
-               "setTimer callback in " + fn.qualified +
-                   " captures by reference by default ([&]); a fired timer "
-                   "may touch dead state — capture what it needs by value"});
-        }
-        for (const std::string& name : timer.refCaptures) {
-          out.push_back(
-              {file.path, timer.line, "timer-capture",
-               "setTimer callback in " + fn.qualified + " captures '&" +
-                   name +
-                   "' by reference; the referent can die before the timer "
-                   "fires — capture by value with an incarnation guard"});
-        }
-        for (const std::string& name : timer.valueCaptures) {
-          if (fn.iteratorLocals.contains(name)) {
-            out.push_back(
-                {file.path, timer.line, "timer-capture",
-                 "setTimer callback in " + fn.qualified +
-                     " captures iterator '" + name +
-                     "' ; iterators into mutable containers are invalidated "
-                     "before the timer fires — capture the key instead"});
-          }
-        }
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // R9 `tainted-size` — intra-procedural dataflow from ByteReader length/count
 // reads to resize/reserve arguments and loop bounds. A length read off the
 // wire is attacker-controlled; before it sizes an allocation or bounds a
@@ -763,158 +538,6 @@ void ruleTaintedSize(const RepoIndex& index,
 }
 
 // ---------------------------------------------------------------------------
-// R11 `wire-symmetry` — every field the encoder writes for a message kind
-// must be read back by the decoder in the same order, width, and loop
-// nesting (and vice versa). This is the static twin of the corpus
-// round-trip oracle: a reordered or widened field desynchronizes the read
-// cursor for every later field, which the corpus only catches for inputs
-// it happens to contain. put*/get* helper pairs are checked first, then
-// each kind's switch arms with helpers flattened in.
-
-void ruleWireSymmetry(const ProtocolModel& model,
-                      std::map<std::string, std::vector<Finding>>& byFile) {
-  if (!model.hasCodec()) return;
-
-  // Helper pairs, matched by suffix (putAuth <-> getAuth).
-  std::map<std::string, std::pair<std::string, std::string>> pairs;
-  for (const auto& [name, arm] : model.helpers) {
-    (void)arm;
-    const std::string suffix = helperSuffix(name);
-    if (suffix.empty()) continue;
-    if (name.compare(0, 3, "put") == 0) pairs[suffix].first = name;
-    else pairs[suffix].second = name;
-  }
-
-  std::set<std::string> badHelpers;
-  const auto compareSides =
-      [&](const std::string& what, const CodecArm& encode,
-          const CodecArm& decode) -> bool {
-    const std::vector<WireOp> w = flattenOps(model, encode.ops, badHelpers);
-    const std::vector<WireOp> r = flattenOps(model, decode.ops, badHelpers);
-    const std::size_t common = std::min(w.size(), r.size());
-    for (std::size_t i = 0; i < common; ++i) {
-      if (w[i].op != r[i].op) {
-        byFile[r[i].file].push_back(
-            {r[i].file, r[i].line, "wire-symmetry",
-             what + " field #" + std::to_string(i + 1) +
-                 ": encoder writes '" + w[i].op + "' but decoder reads '" +
-                 r[i].op + "'; the wire layouts have diverged"});
-        return false;
-      }
-      if (w[i].loopDepth != r[i].loopDepth) {
-        byFile[r[i].file].push_back(
-            {r[i].file, r[i].line, "wire-symmetry",
-             what + " field #" + std::to_string(i + 1) + " ('" + w[i].op +
-                 "'): encoder loop depth " + std::to_string(w[i].loopDepth) +
-                 " vs decoder loop depth " + std::to_string(r[i].loopDepth) +
-                 "; a repeated field is read a different number of times "
-                 "than it is written"});
-        return false;
-      }
-    }
-    if (w.size() != r.size()) {
-      const CodecArm& at = w.size() > r.size() ? decode : encode;
-      byFile[at.file].push_back(
-          {at.file, at.line, "wire-symmetry",
-           what + ": encoder writes " + std::to_string(w.size()) +
-               " fields but decoder reads " + std::to_string(r.size()) +
-               "; trailing fields are silently dropped or invented"});
-      return false;
-    }
-    return true;
-  };
-
-  for (const auto& [suffix, names] : pairs) {
-    if (names.first.empty() || names.second.empty()) continue;
-    const CodecArm& put = model.helpers.at(names.first);
-    const CodecArm& get = model.helpers.at(names.second);
-    if (!compareSides("wire helper pair " + names.first + "/" + names.second,
-                      put, get)) {
-      // Collapse the pair to a placeholder so one broken helper does not
-      // cascade into every kind that calls it.
-      badHelpers.insert(suffix);
-    }
-  }
-
-  for (const std::string& kind : model.kinds) {
-    const auto enc = model.encodeArms.find(kind);
-    const auto dec = model.decodeArms.find(kind);
-    const bool hasEnc = enc != model.encodeArms.end();
-    const bool hasDec = dec != model.decodeArms.end();
-    if (hasEnc && !hasDec) {
-      byFile[enc->second.file].push_back(
-          {enc->second.file, enc->second.line, "wire-symmetry",
-           "message kind " + kind +
-               " has an encode arm but no decode arm; every encodable kind "
-               "must be parseable"});
-      continue;
-    }
-    if (!hasEnc && hasDec) {
-      byFile[dec->second.file].push_back(
-          {dec->second.file, dec->second.line, "wire-symmetry",
-           "message kind " + kind +
-               " has a decode arm but no encode arm; dead parser or missing "
-               "encoder"});
-      continue;
-    }
-    if (hasEnc && hasDec) {
-      compareSides("message kind " + kind, enc->second, dec->second);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// R12 `handler-exhaustive` — the dispatch plane must be closed: every kind
-// a handler can send has a decode arm (a registered parser), every kind
-// with a decode arm is reachable through some receive() dispatch arm, and
-// every kind a dispatch arm names is actually parseable. A hole in any
-// direction is a message that can be produced but never consumed (or
-// parsed but never acted on) — exactly the silent-drop class the dynamic
-// campaign can only find if a scenario happens to exercise the kind.
-
-void ruleHandlerExhaustive(const ProtocolModel& model,
-                           std::map<std::string, std::vector<Finding>>& byFile) {
-  if (model.kindEnum.empty() || model.decodeArms.empty()) return;
-
-  for (const SendSite& send : model.sends) {
-    if (!model.decodeArms.contains(send.kind)) {
-      byFile[send.file].push_back(
-          {send.file, send.line, "handler-exhaustive",
-           send.function + " sends " + send.kind +
-               " but no decode arm parses it; the receiver will reject the "
-               "message as malformed"});
-    }
-  }
-
-  if (!model.receiveArms.empty()) {
-    std::set<std::string> handled;
-    for (const auto& [owner, kinds] : model.receiveArms) {
-      (void)owner;
-      handled.insert(kinds.begin(), kinds.end());
-    }
-    for (const auto& [kind, arm] : model.decodeArms) {
-      if (!handled.contains(kind)) {
-        byFile[arm.file].push_back(
-            {arm.file, arm.line, "handler-exhaustive",
-             "message kind " + kind +
-                 " is parsed but no receive() dispatch arm handles it; the "
-                 "kind is unreachable and will be silently dropped"});
-      }
-    }
-    for (const auto& [owner, kinds] : model.receiveArms) {
-      for (const std::string& kind : kinds) {
-        if (!model.decodeArms.contains(kind)) {
-          byFile[model.kindEnumFile].push_back(
-              {model.kindEnumFile, 1, "handler-exhaustive",
-               owner + "::receive dispatches on " + kind +
-                   " but no decode arm parses it; the arm can never fire"});
-        }
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // R13 `quorum-consistency` — every quorum-threshold comparison must
 // normalize to a canonical certificate formula: the forms returned by the
 // quorum-named helpers (2f+1 in this codebase) plus the PBFT weak
@@ -1013,68 +636,9 @@ void ruleStaleSuppression(const FileIndex& file,
 }
 
 // ---------------------------------------------------------------------------
-// Phase 4 rules (R15-R18) — consumers of the whole-program effect inference
+// Phase 4 rules (R16-R18) — consumers of the whole-program effect inference
 // in effects.cpp. Each reports into the file that owns the witness token, so
 // every finding stays suppressible at its own line.
-
-// R15 `determinism-boundary` — the interprocedural generalization of R1:
-// no wall-clock or ambient-rng effect may be *reachable* from the
-// simulator/replica/controller scope, not merely spelled there. Direct
-// leaves are reported at the leaf; effects imported through a callee
-// outside the protected scope are reported at the call site with the
-// witness chain (a protected callee reports at its own definition instead,
-// so a deep chain yields one finding per function, not a cascade).
-
-void ruleDeterminismBoundary(
-    const RepoIndex& index, const EffectIndex& eff,
-    std::map<std::string, std::vector<Finding>>& byFile) {
-  for (std::size_t i = 0; i < eff.flat.size(); ++i) {
-    const FileIndex& file = index.files[eff.flat[i].first];
-    if (!determinismCriticalPath(file.path)) continue;
-    if ((eff.fn[i].total & kEffectNondet) == 0) continue;
-    const FunctionInfo& fn = file.functions[eff.flat[i].second];
-
-    for (const LeafSite& leaf : harvestLeafSites(file, fn)) {
-      const unsigned bits = leaf.effects & kEffectNondet;
-      if (bits == 0) continue;
-      byFile[file.path].push_back(
-          {file.path, leaf.line, "determinism-boundary",
-           "'" + leaf.name + "' is a nondeterministic effect (" +
-               effectSetNames(bits) +
-               ") in determinism-critical code; every run must be a pure "
-               "function of the seed — draw time and randomness from "
-               "common/rng",
-           false});
-    }
-
-    std::set<std::pair<std::string, std::size_t>> reported;
-    for (const CallSite& call : fn.calls) {
-      if (globalCallForm(file.tokens, call.tokenIndex)) continue;
-      auto [lo, hi] = index.functionsByName.equal_range(call.callee);
-      for (auto it = lo; it != hi; ++it) {
-        const std::size_t j = eff.flatIndex.at(it->second);
-        const unsigned bits = eff.fn[j].total & kEffectNondet;
-        if (bits == 0) continue;
-        if (determinismCriticalPath(index.files[eff.flat[j].first].path)) {
-          continue;  // the callee is in scope and reports itself
-        }
-        for (std::size_t b = 0; b < kEffectCount; ++b) {
-          if ((bits & (1u << b)) == 0) continue;
-          if (!reported.insert({call.callee, b}).second) continue;
-          byFile[file.path].push_back(
-              {file.path, call.line, "determinism-boundary",
-               "call to '" + call.callee +
-                   "' reaches the nondeterministic effect '" +
-                   std::string(effectName(b)) + "' (root: " +
-                   eff.fn[j].witness[b].root +
-                   "); determinism-critical code must not observe wall "
-                   "clocks or ambient rng — route through common/rng",
-               false});
-        }
-      }
-    }
-  }
-}
 
 // R16 `syscall-discipline` — raw POSIX is an effect-module privilege, and
 // interruptible syscalls must be written for the signal-rich world the
@@ -1333,28 +897,15 @@ const std::vector<RuleInfo>& ruleRegistry() {
        "R5: no hash-container iteration in the ordering-sensitive loops of "
        "pbft/replica.cpp, avd/controller.cpp, campaign/runner.cpp, "
        "campaign/dedup.cpp, campaign/fleet/{coordinator,shard,worker}.cpp, "
-       "faultinject/churn.cpp, faultinject/flood.cpp, or sim/network.cpp"},
+       "faultinject/churn.cpp, faultinject/flood.cpp, faultinject/twins.cpp, "
+       "or sim/network.cpp"},
       {"detached-thread",
        "R6: no std::thread::detach(); every thread must have an owner "
        "that joins it"},
-      {"lock-order",
-       "R7: the cross-file lock-acquisition graph must be acyclic; a cycle "
-       "or re-acquisition is a potential deadlock"},
-      {"timer-capture",
-       "R8: setTimer callbacks capture by value only — no [&], no &name, "
-       "no iterators into mutable containers"},
       {"tainted-size",
        "R9: a ByteReader length read must be clamped against a k*Cap "
        "constant or remaining() before sizing an allocation or bounding a "
        "loop"},
-      {"wire-symmetry",
-       "R11: every field encode* writes for a message kind is read by the "
-       "matching decode* in the same order, width, and loop nesting — and "
-       "vice versa (static twin of the corpus round-trip oracle)"},
-      {"handler-exhaustive",
-       "R12: every kind a handler sends has a registered decode arm, every "
-       "parsed kind reaches a receive() dispatch arm, and every dispatched "
-       "kind is parseable"},
       {"quorum-consistency",
        "R13: quorum thresholds normalize to a canonical certificate formula "
        "(2f+1 / 2f / f+1); vote counts must not be compared against magic "
@@ -1363,10 +914,6 @@ const std::vector<RuleInfo>& ruleRegistry() {
        "R14: every model-extracted protocol transition (view change, "
        "checkpoint, state transfer, park/unpark, quota drop, ingress "
        "overflow, crash/rejoin) has a runtime counter emission site"},
-      {"determinism-boundary",
-       "R15: no wall-clock or ambient-rng effect is reachable through the "
-       "call graph from sim/pbft/avd code, except via common/rng (the "
-       "whole-program generalization of R1)"},
       {"syscall-discipline",
        "R16: raw POSIX calls are confined to common/framing, common/proc, "
        "common/logging, campaign/journal, and campaign/fleet/shard; every "
@@ -1421,24 +968,19 @@ std::vector<Finding> lintFiles(const std::vector<SourceFile>& files,
     ruleDetachedThread(ctx);
   }
 
-  // Phase 2b: cross-file index rules (R7-R9).
-  ruleLockOrder(index, byFile);
-  ruleTimerCapture(index, byFile);
+  // Phase 2b: cross-file index rule (R9).
   ruleTaintedSize(index, byFile);
 
-  // Phase 3: protocol-model extraction and the conformance rules
-  // (R11-R14). The model is empty when no pbft/sim sources are in the
-  // set, which makes every phase-3 rule vacuous.
+  // Phase 3: protocol-model extraction and the model rules (R13, R14).
+  // The model is empty when no pbft/sim sources are in the set, which
+  // makes every phase-3 rule vacuous.
   const ProtocolModel model = extractModel(index);
-  ruleWireSymmetry(model, byFile);
-  ruleHandlerExhaustive(model, byFile);
   ruleQuorumConsistency(model, byFile);
   ruleEventCoverage(model, byFile);
 
   // Phase 4: whole-program effect inference (leaf harvest + call-graph
-  // fixpoint) and its consumers (R15-R18).
+  // fixpoint) and its consumers (R16-R18).
   const EffectIndex effects = inferEffects(index);
-  ruleDeterminismBoundary(index, effects, byFile);
   ruleSyscallDiscipline(index, byFile);
   ruleDurabilityOrdering(index, byFile);
   ruleBlockingUnderLock(index, effects, byFile);
@@ -1518,119 +1060,6 @@ std::string toJson(const std::vector<Finding>& findings) {
   json += findings.empty() ? "]" : "\n]";
   json += "\n";
   return json;
-}
-
-std::vector<Finding> parseFindingsJson(std::string_view json) {
-  // A minimal parser for the flat format toJson() emits: an array of
-  // objects whose values are strings, integers, or booleans. Anything it
-  // does not recognize is skipped.
-  std::vector<Finding> findings;
-  std::size_t i = 0;
-  const std::size_t n = json.size();
-
-  const auto skipSpace = [&] {
-    while (i < n && std::isspace(static_cast<unsigned char>(json[i]))) ++i;
-  };
-  const auto parseString = [&]() -> std::string {
-    std::string out;
-    ++i;  // opening quote
-    while (i < n && json[i] != '"') {
-      if (json[i] == '\\' && i + 1 < n) {
-        ++i;
-        switch (json[i]) {
-          case 'n': out.push_back('\n'); break;
-          case 't': out.push_back('\t'); break;
-          case 'u': {
-            unsigned value = 0;
-            for (int d = 0; d < 4 && i + 1 < n; ++d) {
-              const char c = json[++i];
-              value <<= 4;
-              if (c >= '0' && c <= '9') value |= static_cast<unsigned>(c - '0');
-              else if (c >= 'a' && c <= 'f') value |= static_cast<unsigned>(c - 'a' + 10);
-              else if (c >= 'A' && c <= 'F') value |= static_cast<unsigned>(c - 'A' + 10);
-            }
-            out.push_back(static_cast<char>(value & 0xFF));
-            break;
-          }
-          default: out.push_back(json[i]);
-        }
-      } else {
-        out.push_back(json[i]);
-      }
-      ++i;
-    }
-    if (i < n) ++i;  // closing quote
-    return out;
-  };
-
-  while (i < n) {
-    if (json[i] != '{') {
-      ++i;
-      continue;
-    }
-    ++i;
-    Finding finding;
-    for (;;) {
-      skipSpace();
-      if (i >= n || json[i] == '}') {
-        if (i < n) ++i;
-        break;
-      }
-      if (json[i] != '"') {
-        ++i;
-        continue;
-      }
-      const std::string key = parseString();
-      skipSpace();
-      if (i < n && json[i] == ':') ++i;
-      skipSpace();
-      if (i < n && json[i] == '"') {
-        const std::string value = parseString();
-        if (key == "file") finding.file = value;
-        else if (key == "rule") finding.rule = value;
-        else if (key == "message") finding.message = value;
-      } else {
-        std::string raw;
-        while (i < n && json[i] != ',' && json[i] != '}') raw.push_back(json[i++]);
-        while (!raw.empty() && std::isspace(static_cast<unsigned char>(raw.back()))) {
-          raw.pop_back();
-        }
-        if (key == "line") {
-          std::size_t value = 0;
-          for (char c : raw) {
-            if (c >= '0' && c <= '9') value = value * 10 + static_cast<std::size_t>(c - '0');
-          }
-          finding.line = value;
-        } else if (key == "suppressed") {
-          finding.suppressed = raw == "true";
-        }
-      }
-      skipSpace();
-      if (i < n && json[i] == ',') ++i;
-    }
-    if (!finding.rule.empty()) findings.push_back(std::move(finding));
-  }
-  return findings;
-}
-
-std::vector<Finding> diffAgainstBaseline(
-    const std::vector<Finding>& current,
-    const std::vector<Finding>& baseline) {
-  std::map<std::string, std::size_t> budget;
-  for (const Finding& f : baseline) {
-    budget[f.file + '\0' + f.rule + '\0' + f.message] += 1;
-  }
-  std::vector<Finding> fresh;
-  for (const Finding& f : current) {
-    const std::string key = f.file + '\0' + f.rule + '\0' + f.message;
-    if (const auto it = budget.find(key);
-        it != budget.end() && it->second > 0) {
-      --it->second;
-      continue;
-    }
-    fresh.push_back(f);
-  }
-  return fresh;
 }
 
 std::size_t unsuppressedCount(const std::vector<Finding>& findings) {

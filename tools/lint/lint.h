@@ -3,25 +3,24 @@
 // A deliberately small, dependency-free C++ analyzer. v4 is a five-phase
 // engine: phase 0/1 (lexer.h / index.h) tokenizes every translation unit
 // and builds a repo-wide semantic index (functions, mutexes, lock sites,
-// call graph, setTimer lambdas, ByteReader reads); phase 2 (this module)
-// runs the token/index rule families; phase 3 (model.h) extracts the
-// protocol model and checks wire/handler conformance; phase 4 (effects.h)
+// call graph, ByteReader reads); phase 2 (this module) runs the
+// token/index rule families; phase 3 (model.h) extracts the protocol model
+// and checks quorum thresholds and event coverage; phase 4 (effects.h)
 // runs a call-graph effect-inference fixpoint and checks the effect rules:
 //
 //   R1  nondeterminism        R2  unchecked-parse     R3  uncapped-reserve
 //   R4  naked-lock            R5  unordered-iter      R6  detached-thread
-//   R7  lock-order            R8  timer-capture       R9  tainted-size
-//   R11 wire-symmetry         R12 handler-exhaustive  R13 quorum-consistency
-//   R14 event-coverage        R15 determinism-boundary
+//   R9  tainted-size          R13 quorum-consistency  R14 event-coverage
 //   R16 syscall-discipline    R17 durability-ordering
 //   R18 blocking-under-lock   R10 stale-suppression
 //   (+ the bad-suppression meta rule)
 //
+// Rule ids keep their numbers; the gaps (R7, R8, R11, R12, R15) are rules
+// whose bug classes TSan, ASan, -Wswitch, the wire tests, or R1 catch.
 // The rule set is documented in docs/STATIC_ANALYSIS.md; each rule can be
 // suppressed per line with an `avd-lint allow(naked-lock)` style comment
 // naming the rule id (R10 then audits that every such directive still
-// suppresses something). A committed baseline (`--baseline findings.json`)
-// turns the CI gate into a ratchet: only *new* findings fail the build.
+// suppresses something).
 //
 // The analysis lives in a library so tests can seed violations through the
 // same entry points the CLI uses (tools/lint/main.cpp).
@@ -80,20 +79,8 @@ std::vector<Finding> lintFiles(const std::vector<SourceFile>& files,
 std::vector<Finding> lintSource(std::string_view path, std::string_view text,
                                 const Options& options = {});
 
-/// Serializes findings as a JSON array (machine-readable report; also the
-/// on-disk baseline format).
+/// Serializes findings as a JSON array (the machine-readable report).
 std::string toJson(const std::vector<Finding>& findings);
-
-/// Parses a findings array previously produced by toJson() (the committed
-/// baseline). Tolerant of whitespace; unknown keys are ignored.
-std::vector<Finding> parseFindingsJson(std::string_view json);
-
-/// Baseline diff: returns the findings in `current` that are not accounted
-/// for by `baseline`. Matching is by (file, rule, message) as a multiset —
-/// line numbers are deliberately ignored so unrelated edits that shift
-/// lines do not resurrect baselined findings.
-std::vector<Finding> diffAgainstBaseline(const std::vector<Finding>& current,
-                                         const std::vector<Finding>& baseline);
 
 /// Count of findings that are not suppressed.
 std::size_t unsuppressedCount(const std::vector<Finding>& findings);

@@ -2,18 +2,14 @@
 //
 // Usage:
 //   avd_lint [--json] [--include-suppressed] [--list-rules]
-//            [--baseline findings.json] [--gen-events out.h]
-//            [--check-events checked-in.h] [--gen-effects out.json]
-//            [--check-effects checked-in.json] <path>...
+//            [--gen-events out.h] [--check-events checked-in.h]
+//            [--gen-effects out.json] [--check-effects checked-in.json]
+//            <path>...
 //
 // Paths may be files or directories (directories are walked recursively for
 // .h/.cpp files). Exit status is 0 when no unsuppressed finding exists,
 // 1 when violations remain, 2 on usage/IO errors — so a CTest entry is just
 // `avd_lint ${CMAKE_SOURCE_DIR}/src`.
-//
-// With --baseline, findings that match the committed baseline (by file,
-// rule, and message — line-insensitive) are accepted and only *new*
-// findings fail: the gate becomes a ratchet that can never loosen.
 //
 // With --gen-events, the protocol-event taxonomy extracted from the given
 // paths is written to the output header (src/avd/gen/protocol_events.h in
@@ -58,8 +54,8 @@ bool readFile(const fs::path& path, std::string& out) {
 
 int usage() {
   std::cerr << "usage: avd_lint [--json] [--include-suppressed] "
-               "[--list-rules] [--baseline findings.json] "
-               "[--gen-events out.h] [--check-events checked-in.h] "
+               "[--list-rules] [--gen-events out.h] "
+               "[--check-events checked-in.h] "
                "[--gen-effects out.json] [--check-effects checked-in.json] "
                "<file-or-dir>...\n";
   return 2;
@@ -70,7 +66,6 @@ int usage() {
 int main(int argc, char** argv) {
   bool json = false;
   bool includeSuppressed = false;
-  std::string baselinePath;
   std::string genEventsPath;
   std::string checkEventsPath;
   std::string genEffectsPath;
@@ -83,12 +78,6 @@ int main(int argc, char** argv) {
       json = true;
     } else if (arg == "--include-suppressed") {
       includeSuppressed = true;
-    } else if (arg == "--baseline") {
-      if (i + 1 >= argc) {
-        std::cerr << "avd_lint: --baseline requires a file argument\n";
-        return usage();
-      }
-      baselinePath = argv[++i];
     } else if (arg == "--gen-events") {
       if (i + 1 >= argc) {
         std::cerr << "avd_lint: --gen-events requires an output path\n";
@@ -219,18 +208,7 @@ int main(int argc, char** argv) {
 
   avd::lint::Options options;
   options.includeSuppressed = includeSuppressed;
-  std::vector<Finding> findings = avd::lint::lintFiles(files, options);
-
-  if (!baselinePath.empty()) {
-    std::string baselineText;
-    if (!readFile(baselinePath, baselineText)) {
-      std::cerr << "avd_lint: cannot read baseline '" << baselinePath
-                << "'\n";
-      return 2;
-    }
-    findings = avd::lint::diffAgainstBaseline(
-        findings, avd::lint::parseFindingsJson(baselineText));
-  }
+  const std::vector<Finding> findings = avd::lint::lintFiles(files, options);
 
   if (json) {
     std::cout << avd::lint::toJson(findings);
@@ -242,8 +220,7 @@ int main(int argc, char** argv) {
     }
     const std::size_t bad = avd::lint::unsuppressedCount(findings);
     std::cout << files.size() << " files scanned, " << bad
-              << (baselinePath.empty() ? " unsuppressed finding(s)\n"
-                                       : " new unsuppressed finding(s)\n");
+              << " unsuppressed finding(s)\n";
   }
   return avd::lint::unsuppressedCount(findings) == 0 ? 0 : 1;
 }

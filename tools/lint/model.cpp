@@ -2,26 +2,20 @@
 //
 // Everything here is derived from the phase-1 index plus one more token
 // walk per function body. The extraction is an over-approximation in the
-// same spirit as phase 1: op order and loop depth are tracked exactly,
-// helper calls are resolved by name repo-wide, and anything the model
-// cannot see (an undefined helper, a non-literal enumerator value) stays
-// opaque rather than guessed at.
+// same spirit as phase 1: anything the model cannot see (a non-literal
+// enumerator value, a threshold that is not linear in f) stays opaque
+// rather than guessed at.
 #include "model.h"
 
 #include <algorithm>
 #include <cctype>
-#include <functional>
+#include <optional>
+#include <set>
 
 #include "lexer.h"
 
 namespace avd::lint {
 namespace {
-
-const std::set<std::string>& wireAccessorSet() {
-  static const std::set<std::string> kAccessors = {
-      "u8", "u16", "u32", "u64", "i64", "blob", "str"};
-  return kAccessors;
-}
 
 /// The protocol-transition spec: the one authoritative list tying each
 /// transition to its trigger function (matched by lowered-substring), its
@@ -68,90 +62,6 @@ long long digitValue(const std::string& s) {
   long long value = 0;
   for (char c : s) value = value * 10 + (c - '0');
   return value;
-}
-
-bool isPutGetName(const std::string& name) {
-  if (name.size() < 4) return false;
-  if (name.compare(0, 3, "put") != 0 && name.compare(0, 3, "get") != 0) {
-    return false;
-  }
-  return std::isupper(static_cast<unsigned char>(name[3])) != 0;
-}
-
-// --- Wire-op collection ----------------------------------------------------
-
-struct RawOp {
-  WireOp op;
-  std::size_t tokenIndex = 0;
-  bool isWrite = false;
-};
-
-/// Collects primitive writer/reader accessor ops and put*/get* helper calls
-/// in the token range [begin, end), annotated with the loop depth at the
-/// op (braced for/while/do bodies only — the wire codec has no others).
-std::vector<RawOp> collectOps(const FileIndex& file, std::size_t begin,
-                              std::size_t end) {
-  const std::vector<Token>& toks = file.tokens;
-  std::vector<RawOp> ops;
-  std::vector<std::size_t> loopEnds;  // token index one past each loop body
-  for (std::size_t i = begin; i < end; ++i) {
-    while (!loopEnds.empty() && i >= loopEnds.back()) loopEnds.pop_back();
-    if (!isIdent(toks, i)) continue;
-    const std::string& name = toks[i].text;
-
-    if (name == "for" || name == "while") {
-      if (text(toks, i + 1) != "(") continue;
-      const std::size_t afterCond = skipBalanced(toks, i + 1, "(", ")");
-      if (text(toks, afterCond) == "{") {
-        loopEnds.push_back(skipBalanced(toks, afterCond, "{", "}"));
-      } else {
-        // Unbraced body: the loop covers the single statement up to the
-        // next ';' at bracket depth 0 (`for (...) writer.u64(tag);`).
-        std::size_t depth = 0;
-        std::size_t j = afterCond;
-        while (j < end) {
-          const std::string& t = toks[j].text;
-          if (t == "(" || t == "[" || t == "{") ++depth;
-          if (t == ")" || t == "]" || t == "}") --depth;
-          if (t == ";" && depth == 0) break;
-          ++j;
-        }
-        loopEnds.push_back(j + 1);
-      }
-      continue;
-    }
-    if (name == "do" && text(toks, i + 1) == "{") {
-      loopEnds.push_back(skipBalanced(toks, i + 1, "{", "}"));
-      continue;
-    }
-
-    // Primitive accessor on a writer-ish / reader-ish receiver.
-    if (wireAccessorSet().contains(name) && i >= 2 &&
-        (text(toks, i - 1) == "." || text(toks, i - 1) == "->") &&
-        isIdent(toks, i - 2) && text(toks, i + 1) == "(") {
-      const std::string receiver = lowered(toks[i - 2].text);
-      const bool write = receiver.find("writer") != std::string::npos;
-      const bool read = receiver.find("reader") != std::string::npos;
-      if (!write && !read) continue;
-      ops.push_back({{name, false, loopEnds.size(), file.path, toks[i].line},
-                     i,
-                     write});
-      continue;
-    }
-
-    // put*/get* helper call (free function; `getPhase<T>(...)` included).
-    if (isPutGetName(name) && (i == 0 || (text(toks, i - 1) != "." &&
-                                          text(toks, i - 1) != "->" &&
-                                          text(toks, i - 1) != "::"))) {
-      std::size_t call = i + 1;
-      if (text(toks, call) == "<") call = skipBalanced(toks, call, "<", ">");
-      if (text(toks, call) != "(") continue;
-      ops.push_back({{name, true, loopEnds.size(), file.path, toks[i].line},
-                     i,
-                     name.compare(0, 3, "put") == 0});
-    }
-  }
-  return ops;
 }
 
 // --- Enum extraction -------------------------------------------------------
@@ -217,57 +127,6 @@ void collectEnums(const FileIndex& file, std::vector<EnumDef>& out) {
     if (!def.enumerators.empty()) out.push_back(std::move(def));
     i = bodyEnd;
   }
-}
-
-// --- Switch-arm segmentation -----------------------------------------------
-
-struct ArmRef {
-  std::string enumerator;  // "" for default or a non-kind label
-  std::size_t caseTok = 0;
-  std::size_t armBegin = 0;
-  std::size_t armEnd = 0;
-};
-
-std::vector<ArmRef> switchArms(const std::vector<Token>& toks,
-                               std::size_t bodyBegin, std::size_t bodyEnd,
-                               const std::string& enumName,
-                               const std::set<std::string>& enumerators) {
-  std::vector<ArmRef> arms;
-  for (std::size_t i = bodyBegin; i < bodyEnd; ++i) {
-    if (!isIdent(toks, i) || toks[i].text != "switch") continue;
-    if (text(toks, i + 1) != "(") continue;
-    const std::size_t afterCond = skipBalanced(toks, i + 1, "(", ")");
-    if (text(toks, afterCond) != "{") continue;
-    const std::size_t swEnd = skipBalanced(toks, afterCond, "{", "}");
-
-    std::vector<ArmRef> local;
-    std::size_t depth = 0;
-    for (std::size_t j = afterCond + 1; j + 1 < swEnd; ++j) {
-      const std::string& t = toks[j].text;
-      if (t == "{") ++depth;
-      if (t == "}") --depth;
-      if (depth != 0 || toks[j].kind != TokKind::kIdent) continue;
-      if (t != "case" && t != "default") continue;
-      ArmRef arm;
-      arm.caseTok = j;
-      std::size_t k = j + 1;
-      if (t == "case") {
-        if (text(toks, k) == enumName && text(toks, k + 1) == "::") k += 2;
-        if (isIdent(toks, k) && enumerators.contains(toks[k].text) &&
-            text(toks, k + 1) == ":") {
-          arm.enumerator = toks[k].text;
-        }
-        while (k < swEnd && text(toks, k) != ":") ++k;
-      }
-      arm.armBegin = k + 1;
-      if (!local.empty()) local.back().armEnd = j;
-      local.push_back(arm);
-    }
-    if (!local.empty()) local.back().armEnd = swEnd - 1;
-    arms.insert(arms.end(), local.begin(), local.end());
-    i = swEnd;
-  }
-  return arms;
 }
 
 // --- Quorum-threshold collection -------------------------------------------
@@ -490,11 +349,6 @@ bool inModelScope(const std::string& path) {
          path.find("sim/") != std::string::npos;
 }
 
-std::string helperSuffix(const std::string& name) {
-  if (!isPutGetName(name)) return {};
-  return lowered(name.substr(3));
-}
-
 ProtocolModel extractModel(const RepoIndex& index) {
   ProtocolModel model;
 
@@ -548,107 +402,12 @@ ProtocolModel extractModel(const RepoIndex& index) {
     model.kinds = kindEnum->enumerators;
     model.kindValues = kindEnum->values;
   }
-  const std::set<std::string> enumerators(model.kinds.begin(),
-                                          model.kinds.end());
 
-  const auto scanKindRefs = [&](const FileIndex& file, std::size_t begin,
-                                std::size_t end, std::set<std::string>& out) {
-    const std::vector<Token>& toks = file.tokens;
-    for (std::size_t i = begin; i + 2 < end; ++i) {
-      if (isIdent(toks, i) && toks[i].text == model.kindEnum &&
-          text(toks, i + 1) == "::" && isIdent(toks, i + 2) &&
-          enumerators.contains(toks[i + 2].text)) {
-        out.insert(toks[i + 2].text);
-      }
-    }
-  };
-
-  // Pass 2: per-function extraction.
+  // Pass 2: quorum-threshold comparisons (pbft sources only).
   for (const FileIndex& file : index.files) {
-    if (!inModelScope(file.path)) continue;
-    const std::vector<Token>& toks = file.tokens;
-    const bool pbftFile = file.path.find("pbft/") != std::string::npos;
-
+    if (file.path.find("pbft/") == std::string::npos) continue;
     for (const FunctionInfo& fn : file.functions) {
-      // struct -> kind: `kind()` overrides returning a MsgKind cast.
-      if (fn.name == "kind" && !fn.owner.empty() && !model.kindEnum.empty()) {
-        std::set<std::string> refs;
-        scanKindRefs(file, fn.bodyBegin, fn.bodyEnd, refs);
-        if (refs.size() == 1) model.structToKind[fn.owner] = *refs.begin();
-      }
-
-      // receive() dispatch arms.
-      if (fn.name == "receive" && !fn.owner.empty() &&
-          !model.kindEnum.empty()) {
-        std::set<std::string> refs;
-        scanKindRefs(file, fn.bodyBegin, fn.bodyEnd, refs);
-        if (!refs.empty()) {
-          model.receiveArms[fn.owner].insert(refs.begin(), refs.end());
-        }
-      }
-
-      const std::vector<RawOp> ops = collectOps(file, fn.bodyBegin, fn.bodyEnd);
-
-      // Wire helpers: put*/get* free functions with their full-body ops.
-      if (isPutGetName(fn.name) && !ops.empty()) {
-        CodecArm arm;
-        arm.present = true;
-        arm.file = file.path;
-        arm.line = fn.line;
-        for (const RawOp& raw : ops) arm.ops.push_back(raw.op);
-        model.helpers[fn.name] = std::move(arm);
-      }
-
-      // Codec switch arms: bucket ops into per-kind case ranges.
-      if (!ops.empty() && !model.kindEnum.empty()) {
-        for (const ArmRef& arm : switchArms(toks, fn.bodyBegin, fn.bodyEnd,
-                                            model.kindEnum, enumerators)) {
-          if (arm.enumerator.empty()) continue;
-          CodecArm codec;
-          codec.present = true;
-          codec.file = file.path;
-          codec.line = toks[arm.caseTok].line;
-          std::size_t writes = 0;
-          std::size_t reads = 0;
-          for (const RawOp& raw : ops) {
-            if (raw.tokenIndex < arm.armBegin || raw.tokenIndex >= arm.armEnd) {
-              continue;
-            }
-            codec.ops.push_back(raw.op);
-            ++(raw.isWrite ? writes : reads);
-          }
-          if (codec.ops.empty()) continue;
-          auto& side = writes >= reads ? model.encodeArms : model.decodeArms;
-          side[arm.enumerator] = std::move(codec);
-        }
-      }
-
-      // Send sites: message-struct construction.
-      for (std::size_t i = fn.bodyBegin; i + 1 < fn.bodyEnd; ++i) {
-        if (!isIdent(toks, i) || toks[i].text != "make_shared") continue;
-        if (text(toks, i + 1) != "<") continue;
-        const std::size_t close = skipBalanced(toks, i + 1, "<", ">");
-        std::string structName;
-        for (std::size_t j = close - 1; j > i + 1; --j) {
-          if (isIdent(toks, j)) {
-            structName = toks[j].text;
-            break;
-          }
-        }
-        const auto it = model.structToKind.find(structName);
-        if (it != model.structToKind.end()) {
-          model.sends.push_back(
-              {it->second, fn.qualified, file.path, toks[i].line});
-        }
-      }
-
-      // Timer arming sites (from the phase-1 index).
-      for (const TimerLambda& timer : fn.timers) {
-        model.timers.push_back({fn.qualified, file.path, timer.line});
-      }
-
-      // Quorum-threshold comparisons (pbft sources only).
-      if (pbftFile) collectQuorums(file, fn, namedForms, model);
+      collectQuorums(file, fn, namedForms, model);
     }
   }
 
@@ -691,42 +450,6 @@ ProtocolModel extractModel(const RepoIndex& index) {
   }
 
   return model;
-}
-
-std::vector<WireOp> flattenOps(const ProtocolModel& model,
-                               const std::vector<WireOp>& ops,
-                               const std::set<std::string>& badHelpers) {
-  std::vector<WireOp> out;
-  std::set<std::string> active;  // recursion guard
-
-  const std::function<void(const std::vector<WireOp>&, std::size_t)> walk =
-      [&](const std::vector<WireOp>& seq, std::size_t depth) {
-        for (const WireOp& op : seq) {
-          if (!op.isCall) {
-            WireOp flat = op;
-            flat.loopDepth += depth;
-            out.push_back(std::move(flat));
-            continue;
-          }
-          const std::string suffix = helperSuffix(op.op);
-          const auto it = model.helpers.find(op.op);
-          if (!badHelpers.contains(suffix) && it != model.helpers.end() &&
-              !active.contains(suffix)) {
-            active.insert(suffix);
-            walk(it->second.ops, depth + op.loopDepth);
-            active.erase(suffix);
-            continue;
-          }
-          // Asymmetric (already reported) or undefined helper: keep it as a
-          // placeholder that matches its counterpart on the other side.
-          WireOp flat = op;
-          flat.op = "helper:" + (suffix.empty() ? lowered(op.op) : suffix);
-          flat.loopDepth += depth;
-          out.push_back(std::move(flat));
-        }
-      };
-  walk(ops, 0);
-  return out;
 }
 
 namespace {

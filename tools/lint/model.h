@@ -1,20 +1,12 @@
 // avd_lint phase 3 — static protocol-model extraction.
 //
 // Phase 3 walks the phase-1 semantic index over the protocol sources
-// (`src/pbft/` + `src/sim/`) and reconstructs the message-plane model the
-// protocol rules (R11-R14) reason over:
+// (`src/pbft/` + `src/sim/`) and reconstructs the protocol model the
+// model rules (R13, R14) and the event-taxonomy generator read:
 //
 //   - the message-kind enum (`MsgKind`) with enumerator values,
-//   - the message-struct -> kind map (from `kind()` overrides),
-//   - every encode/decode function with the ordered field writes/reads in
-//     each per-kind switch arm (primitive ByteWriter/ByteReader accessor
-//     ops plus put*/get* helper calls, annotated with loop depth),
-//   - every put*/get* wire helper with its own op sequence,
-//   - every `receive()` dispatch arm and the kinds it consumes,
-//   - every message-construction (send) site,
 //   - every quorum-threshold comparison normalized to a linear `a*f + b`
-//     form (resolving `quorum()`-style named definitions),
-//   - every `setTimer` arming site, and
+//     form (resolving `quorum()`-style named definitions), and
 //   - every protocol transition (view change, checkpoint, state transfer,
 //     park/unpark, quota drop, ingress overflow, crash/rejoin) with the
 //     runtime counter emission sites that observe it.
@@ -28,41 +20,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <optional>
-#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "index.h"
 
 namespace avd::lint {
-
-/// One wire field operation: a primitive ByteWriter/ByteReader accessor
-/// (`u8/u16/u32/u64/i64/blob/str`) or a put*/get* helper call.
-struct WireOp {
-  std::string op;        // accessor name, or the helper callee name
-  bool isCall = false;   // true for put*/get* helper calls
-  std::size_t loopDepth = 0;  // 0 at statement level, +1 per enclosing loop
-  std::string file;
-  std::size_t line = 0;
-};
-
-/// One side (encode or decode) of a kind's codec: the ordered ops of its
-/// switch arm, with the arm's location.
-struct CodecArm {
-  bool present = false;
-  std::string file;
-  std::size_t line = 0;
-  std::vector<WireOp> ops;
-};
-
-/// A `make_shared<SomeMessage>` construction site — the static send set.
-struct SendSite {
-  std::string kind;      // enumerator, e.g. "kPrepare"
-  std::string function;  // qualified enclosing function
-  std::string file;
-  std::size_t line = 0;
-};
 
 /// A quorum-threshold expression adjacent to a comparison, normalized to
 /// `a*f + b` (e.g. `2*f+1` -> {2,1}, `config_.quorum()` resolved through
@@ -82,13 +46,6 @@ struct QuorumSite {
 struct MagicQuorumSite {
   std::string counted;  // the vote-count identifier being compared
   long long literal = 0;
-  std::string file;
-  std::size_t line = 0;
-};
-
-/// One setTimer(...) arming site.
-struct TimerArmSite {
-  std::string function;  // qualified enclosing function
   std::string file;
   std::size_t line = 0;
 };
@@ -121,26 +78,11 @@ struct ProtocolModel {
   /// Enumerators in declaration order with their values.
   std::vector<std::string> kinds;
   std::map<std::string, std::uint32_t> kindValues;
-  /// Message struct -> enumerator (from `kind()` overrides).
-  std::map<std::string, std::string> structToKind;
-  /// Per-kind codec arms.
-  std::map<std::string, CodecArm> encodeArms;
-  std::map<std::string, CodecArm> decodeArms;
-  /// put*/get* helper name -> its op sequence (unflattened).
-  std::map<std::string, CodecArm> helpers;
-  /// receive() dispatch: owner class -> kinds referenced in its body.
-  std::map<std::string, std::set<std::string>> receiveArms;
-  std::vector<SendSite> sends;
   std::vector<QuorumSite> quorums;
   std::vector<MagicQuorumSite> magicQuorums;
   /// Linear forms of quorum-named definitions (e.g. quorum() -> {2,1}).
   std::vector<std::pair<int, int>> namedQuorumForms;
-  std::vector<TimerArmSite> timers;
   std::vector<Transition> transitions;
-
-  bool hasCodec() const {
-    return !encodeArms.empty() || !decodeArms.empty();
-  }
 };
 
 /// True for files the protocol model is extracted from.
@@ -149,19 +91,6 @@ bool inModelScope(const std::string& path);
 /// Extracts the protocol model from the phase-1 index. Files outside the
 /// model scope (neither `pbft/` nor `sim/` in the path) are ignored.
 ProtocolModel extractModel(const RepoIndex& index);
-
-/// Flattens a codec arm's op sequence: helper calls whose definition is in
-/// the model are spliced in (loop depths compose); unknown helpers stay
-/// opaque. `badHelpers` (asymmetric pairs already reported) collapse to a
-/// matching placeholder so one broken helper doesn't cascade into every
-/// kind that uses it.
-std::vector<WireOp> flattenOps(const ProtocolModel& model,
-                               const std::vector<WireOp>& ops,
-                               const std::set<std::string>& badHelpers);
-
-/// Strips the put/get prefix from a helper name and lowercases the rest:
-/// putAuth/getAuth -> "auth". Returns "" when the name has no such prefix.
-std::string helperSuffix(const std::string& name);
 
 /// Renders the generated runtime event taxonomy header
 /// (`src/avd/gen/protocol_events.h`) from the model. Deterministic: same
