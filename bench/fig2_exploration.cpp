@@ -12,7 +12,7 @@
 // req/s differ from Emulab — the substrate is a discrete-event simulator —
 // but both are in the tens of thousands at baseline.
 #include <cstdio>
-#include <cstdlib>
+#include <string>
 
 #include "avd/controller.h"
 #include "avd/explorers.h"
@@ -41,38 +41,34 @@ core::PbftExecutorOptions benchOptions(std::uint64_t seed) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const std::size_t tests = argc > 1
-                                ? static_cast<std::size_t>(std::atoll(argv[1]))
-                                : 125;
-  const std::uint64_t seed = argc > 2
-                                 ? static_cast<std::uint64_t>(std::atoll(argv[2]))
-                                 : 2011;
+int main() {
+  constexpr std::size_t kTests = 125;
+  constexpr std::uint64_t kSeed = 2011;
 
   std::printf("=== Figure 2: exploration evolution over %zu tests ===\n",
-              tests);
+              kTests);
   std::printf(
       "hyperspace: 4096 masks x 25 client counts x {1,2} malicious "
       "= 204800 scenarios\n\n");
 
   core::PbftAttackExecutor avdExecutor(core::makePaperMacHyperspace(),
-                                       benchOptions(seed));
+                                       benchOptions(kSeed));
   core::Controller avd(avdExecutor, core::defaultPlugins(avdExecutor.space()),
-                       core::ControllerOptions{}, seed);
-  avd.runTests(tests);
+                       core::ControllerOptions{}, kSeed);
+  avd.runTests(kTests);
 
   // Distinct RNG stream for the random strategy so the two runs do not
   // share their opening samples.
   core::PbftAttackExecutor randomExecutor(core::makePaperMacHyperspace(),
-                                          benchOptions(seed));
+                                          benchOptions(kSeed));
   core::Controller random =
-      core::makeRandomExplorer(randomExecutor, seed + 1000003);
-  random.runTests(tests);
+      core::makeRandomExplorer(randomExecutor, kSeed + 1000003);
+  random.runTests(kTests);
 
   std::printf("%6s  %14s %14s %12s  %14s %14s %12s\n", "test",
               "AVD tput(r/s)", "AVD lat(s)", "AVD best", "RND tput(r/s)",
               "RND lat(s)", "RND best");
-  for (std::size_t i = 0; i < tests; ++i) {
+  for (std::size_t i = 0; i < kTests; ++i) {
     const core::TestRecord& a = avd.history()[i];
     const core::TestRecord& r = random.history()[i];
     std::printf("%6zu  %14.1f %14.4f %12.3f  %14.1f %14.4f %12.3f\n", i + 1,

@@ -11,7 +11,6 @@
 // structure from stealth stalls that only darken low-client rows.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "avd/pbft_executor.h"
@@ -19,23 +18,18 @@
 
 using namespace avd;
 
-int main(int argc, char** argv) {
-  // Defaults sized for an unattended single-core run: 512 columns spanning
-  // the full 12-bit Gray axis. argv[1] overrides the stride (1 = all 4096
-  // masks), argv[2] the measurement window in ms.
-  const std::uint64_t stride =
-      argc > 1 ? static_cast<std::uint64_t>(std::atoll(argv[1])) : 8;
-  const sim::Time measureMs =
-      argc > 2 ? sim::msec(std::atoll(argv[2])) : sim::msec(3000);
+int main() {
+  // 512 columns spanning the full 12-bit Gray axis.
+  constexpr std::uint64_t kStride = 8;
   const std::vector<std::int64_t> clientRows{20, 40, 60, 80, 100};
   constexpr std::uint32_t kMaskBits = 12;
-  const std::uint64_t columns = (1u << kMaskBits) / stride;
+  const std::uint64_t columns = (1u << kMaskBits) / kStride;
   constexpr double kDarkThresholdRps = 500.0;  // the paper's criterion
 
   std::printf("=== Figure 3: exhaustive MAC-corruption subspace ===\n");
   std::printf("x: Gray-coded 12-bit mask index 0..4095 (stride %llu), "
               "y: clients; dark '#' = throughput < %.0f req/s\n\n",
-              static_cast<unsigned long long>(stride), kDarkThresholdRps);
+              static_cast<unsigned long long>(kStride), kDarkThresholdRps);
 
   core::PbftExecutorOptions options;
   // Same timing-ratio scaling as the Figure 2 bench: only sustained
@@ -45,7 +39,7 @@ int main(int argc, char** argv) {
   options.clientRetx = sim::msec(100);
   options.link = sim::LinkModel{sim::msec(5), sim::usec(500)};
   options.warmup = sim::msec(400);
-  options.measure = measureMs;
+  options.measure = sim::msec(3000);
   options.baseSeed = 3;
 
   core::Hyperspace space;
@@ -59,7 +53,7 @@ int main(int argc, char** argv) {
 
   for (std::size_t row = 0; row < clientRows.size(); ++row) {
     for (std::uint64_t column = 0; column < columns; ++column) {
-      const core::Point point{column * stride, row};
+      const core::Point point{column * kStride, row};
       const core::Outcome outcome = executor.execute(point);
       if (outcome.throughputRps < kDarkThresholdRps) {
         grid[row][column] = '#';
@@ -74,8 +68,8 @@ int main(int argc, char** argv) {
        bandStart += bandWidth) {
     const std::size_t bandEnd =
         std::min(bandStart + bandWidth, static_cast<std::size_t>(columns));
-    std::printf("mask index [%zu, %zu):\n", bandStart * stride,
-                bandEnd * stride);
+    std::printf("mask index [%zu, %zu):\n", bandStart * kStride,
+                bandEnd * kStride);
     for (std::size_t row = clientRows.size(); row-- > 0;) {
       std::printf("%4lld clients |", static_cast<long long>(clientRows[row]));
       for (std::size_t column = bandStart; column < bandEnd; ++column) {
@@ -99,9 +93,9 @@ int main(int argc, char** argv) {
       ++darkColumns;
       if (darkColumns <= 24) {
         std::printf(" %llu->0x%llx",
-                    static_cast<unsigned long long>(column * stride),
+                    static_cast<unsigned long long>(column * kStride),
                     static_cast<unsigned long long>(
-                        util::toGray(column * stride)));
+                        util::toGray(column * kStride)));
       }
     }
   }

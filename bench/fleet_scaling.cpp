@@ -1,7 +1,6 @@
 // Fleet scaling bench: scenarios/sec for the in-process executor pool vs
 // the multi-process fleet (fork+exec workers over socketpairs) at equal
-// worker counts, on the quorum API target. Emits BENCH_campaign_fleet.json
-// for CI trend tracking.
+// worker counts, on the quorum API target.
 //
 // The interesting number is the fleet/runner ratio at equal W: the fleet
 // pays fork+exec, framing, and heartbeat overhead for its crash
@@ -15,15 +14,12 @@
 // (~0.1 s each for fork+exec plus executor construction, measured by
 // varying W at a tiny scenario budget) and the extra scheduler churn of
 // W processes + heartbeat threads are pure overhead that parallelism
-// never buys back. The JSON records hardware_concurrency so trend
-// tracking can bucket hosts.
+// never buys back.
 //
 // Re-invokes itself in "fleet-worker" mode for the worker processes.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -118,11 +114,11 @@ int main(int argc, char** argv) {
         [](const std::string&, std::uint64_t) { return makeQuorum(); });
   }
 
-  const std::size_t tests =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 120;
+  constexpr std::size_t kTests = 120;
   const unsigned cores = std::thread::hardware_concurrency();
 
-  std::printf("=== fleet scaling (quorum target, %zu scenarios) ===\n", tests);
+  std::printf("=== fleet scaling (quorum target, %zu scenarios) ===\n",
+              kTests);
   std::printf("host: hardware_concurrency = %u\n\n", cores);
   std::printf("%12s %8s %10s %14s %10s\n", "mode", "workers", "seconds",
               "scenarios/s", "maxImpact");
@@ -130,8 +126,8 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   for (const std::size_t workers : {std::size_t{2}, std::size_t{4}}) {
     for (const bool fleet : {false, true}) {
-      Row row = fleet ? runFleet(workers, tests)
-                      : runInProcess(workers, tests);
+      Row row = fleet ? runFleet(workers, kTests)
+                      : runInProcess(workers, kTests);
       finishRow(row);
       std::printf("%12s %8zu %10.3f %14.1f %10.3f\n", row.mode.c_str(),
                   row.workers, row.seconds, row.scenariosPerSec,
@@ -139,13 +135,11 @@ int main(int argc, char** argv) {
       rows.push_back(row);
     }
   }
-  std::vector<double> ratios;
   for (std::size_t i = 0; i + 1 < rows.size(); i += 2) {
     const double ratio =
         rows[i].scenariosPerSec > 0.0
             ? rows[i + 1].scenariosPerSec / rows[i].scenariosPerSec
             : 0.0;
-    ratios.push_back(ratio);
     std::printf("fleet/runner ratio at W=%zu: %.2fx\n", rows[i].workers,
                 ratio);
   }
@@ -156,33 +150,5 @@ int main(int argc, char** argv) {
         "bar applies to hosts with >= W cores.\n",
         cores);
   }
-
-  std::string json = "{\n  \"bench\": \"fleet_scaling\",\n";
-  json += "  \"scenarios\": " + std::to_string(tests) + ",\n";
-  json += "  \"hardware_concurrency\": " + std::to_string(cores) + ",\n";
-  json += "  \"rows\": [\n";
-  char buffer[256];
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    std::snprintf(buffer, sizeof(buffer),
-                  "    {\"mode\": \"%s\", \"workers\": %zu, "
-                  "\"seconds\": %.6f, \"scenarios_per_sec\": %.3f, "
-                  "\"max_impact\": %.6f}%s\n",
-                  row.mode.c_str(), row.workers, row.seconds,
-                  row.scenariosPerSec, row.maxImpact,
-                  i + 1 < rows.size() ? "," : "");
-    json += buffer;
-  }
-  json += "  ],\n  \"fleet_runner_ratios\": [";
-  for (std::size_t i = 0; i < ratios.size(); ++i) {
-    std::snprintf(buffer, sizeof(buffer), "%s%.3f", i ? ", " : "",
-                  ratios[i]);
-    json += buffer;
-  }
-  json += "]\n}\n";
-
-  std::ofstream out("BENCH_campaign_fleet.json", std::ios::trunc);
-  out << json;
-  std::printf("\nwrote BENCH_campaign_fleet.json\n");
   return 0;
 }

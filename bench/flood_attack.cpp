@@ -1,14 +1,12 @@
 // Flood-attack ablation bench: throughput of a bounded-ingress PBFT
 // deployment under each flood tool class, undefended vs the Aardvark-style
 // defense profile (admission control + fair scheduling + bounded queues).
-// Emits BENCH_flood.json for CI trend tracking.
 //
 // The headline row is the defense ablation the campaign acceptance relies
 // on: request spam at 16k msgs/s drives the undefended deployment's damage
 // >= 0.5 while the defended one stays <= 0.2 against its own baseline.
 #include <cstdio>
-#include <fstream>
-#include <string>
+#include <memory>
 #include <vector>
 
 #include "faultinject/flood.h"
@@ -17,16 +15,6 @@
 using namespace avd;
 
 namespace {
-
-struct Row {
-  std::string attack;
-  double undefendedRps = 0.0;
-  double defendedRps = 0.0;
-  double undefendedDamage = 0.0;  // 1 - rps / same-config no-flood baseline
-  double defendedDamage = 0.0;
-  std::uint64_t queueDrops = 0;  // undefended run
-  std::uint64_t quotaDrops = 0;  // defended run
-};
 
 pbft::DeploymentConfig boundedConfig(bool defended) {
   pbft::DeploymentConfig config;
@@ -108,50 +96,12 @@ int main() {
   std::printf("%-22s %12s %12s %9s %9s\n", "attack", "undef rps", "def rps",
               "undef dmg", "def dmg");
 
-  std::vector<Row> rows;
   for (const Case& c : cases) {
-    const pbft::RunResult raw = runOne(false, &c.options);
-    const pbft::RunResult guarded = runOne(true, &c.options);
-    Row row;
-    row.attack = c.name;
-    row.undefendedRps = raw.throughputRps;
-    row.defendedRps = guarded.throughputRps;
-    row.undefendedDamage = damage(raw.throughputRps, undefendedBaseline);
-    row.defendedDamage = damage(guarded.throughputRps, defendedBaseline);
-    row.queueDrops = raw.queueDrops;
-    row.quotaDrops = guarded.quotaDrops;
-    std::printf("%-22s %12.1f %12.1f %9.3f %9.3f\n", row.attack.c_str(),
-                row.undefendedRps, row.defendedRps, row.undefendedDamage,
-                row.defendedDamage);
-    rows.push_back(row);
+    const double undefendedRps = runOne(false, &c.options).throughputRps;
+    const double defendedRps = runOne(true, &c.options).throughputRps;
+    std::printf("%-22s %12.1f %12.1f %9.3f %9.3f\n", c.name, undefendedRps,
+                defendedRps, damage(undefendedRps, undefendedBaseline),
+                damage(defendedRps, defendedBaseline));
   }
-
-  std::string json = "{\n  \"bench\": \"flood_attack\",\n";
-  char buffer[320];
-  std::snprintf(buffer, sizeof(buffer),
-                "  \"undefended_baseline_rps\": %.3f,\n"
-                "  \"defended_baseline_rps\": %.3f,\n  \"rows\": [\n",
-                undefendedBaseline, defendedBaseline);
-  json += buffer;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    std::snprintf(
-        buffer, sizeof(buffer),
-        "    {\"attack\": \"%s\", \"undefended_rps\": %.3f, "
-        "\"defended_rps\": %.3f, \"undefended_damage\": %.3f, "
-        "\"defended_damage\": %.3f, \"queue_drops\": %llu, "
-        "\"quota_drops\": %llu}%s\n",
-        row.attack.c_str(), row.undefendedRps, row.defendedRps,
-        row.undefendedDamage, row.defendedDamage,
-        static_cast<unsigned long long>(row.queueDrops),
-        static_cast<unsigned long long>(row.quotaDrops),
-        i + 1 < rows.size() ? "," : "");
-    json += buffer;
-  }
-  json += "  ]\n}\n";
-
-  std::ofstream out("BENCH_flood.json", std::ios::trunc);
-  out << json;
-  std::printf("\nwrote BENCH_flood.json\n");
   return 0;
 }

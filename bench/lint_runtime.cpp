@@ -2,8 +2,7 @@
 // re-indexes every translation unit on every run (no incremental cache),
 // so the whole-tree wall clock IS the developer-facing latency of the
 // lint.src gate. Budget: a full src/ + tools/ + bench/ pass through all
-// five phases must stay under 5 seconds; the JSON (BENCH_lint.json)
-// records the per-phase breakdown so CI can trend it.
+// five phases must stay under 5 seconds.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -67,10 +66,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::size_t totalBytes = 0;
   std::size_t totalLines = 0;
   for (const auto& file : files) {
-    totalBytes += file.text.size();
     totalLines += static_cast<std::size_t>(
         std::count(file.text.begin(), file.text.end(), '\n'));
   }
@@ -145,27 +142,6 @@ int main(int argc, char** argv) {
   std::printf("unsuppressed:     %zu finding(s)\n", findings);
   std::printf("budget:           %s (< %.1f s)\n",
               withinBudget ? "PASS" : "FAIL", kBudgetSeconds);
-
-  char buffer[1024];
-  std::snprintf(buffer, sizeof(buffer),
-                "{\n  \"bench\": \"lint_runtime\",\n"
-                "  \"files\": %zu,\n  \"lines\": %zu,\n  \"tokens\": %zu,\n"
-                "  \"bytes\": %zu,\n  \"lex_seconds\": %.6f,\n"
-                "  \"index_seconds\": %.6f,\n  \"model_seconds\": %.6f,\n"
-                "  \"effects_seconds\": %.6f,\n  \"rules_seconds\": %.6f,\n"
-                "  \"model_kinds\": %zu,\n  \"model_transitions\": %zu,\n"
-                "  \"effectful_functions\": %zu,\n"
-                "  \"pipeline_seconds\": %.6f,\n  \"lines_per_sec\": %.1f,\n"
-                "  \"unsuppressed_findings\": %zu,\n"
-                "  \"budget_seconds\": %.1f,\n  \"within_budget\": %s\n}\n",
-                files.size(), totalLines, tokens, totalBytes, lexSeconds,
-                indexSeconds, modelSeconds, effectsSeconds, rulesSeconds,
-                modelKinds, modelTransitions, effectfulFunctions, bestSeconds,
-                bestSeconds > 0.0 ? totalLines / bestSeconds : 0.0, findings,
-                kBudgetSeconds, withinBudget ? "true" : "false");
-  std::ofstream out("BENCH_lint.json", std::ios::trunc);
-  out << buffer;
-  std::printf("wrote BENCH_lint.json\n");
 
   return withinBudget ? 0 : 1;
 }

@@ -1,6 +1,6 @@
 // Twins machinery overhead bench: wall-clock cost of the identity-fault
 // plumbing on deployments that do not use it, plus the price of live twin
-// pairs. Emits BENCH_twins.json for CI trend tracking.
+// pairs.
 //
 // The headline row is the dormancy bar the hyperspaces that never twin
 // anything rely on: with a twin registered but isolated (nobody routed to
@@ -8,7 +8,6 @@
 // that inert run must stay within 10% of the plain no-twin baseline.
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -121,28 +120,5 @@ int main() {
   std::printf("\ninert-twin overhead vs no-twin baseline: %+.1f%% "
               "(bar: <= 10%%)\n",
               overhead * 100.0);
-
-  std::string json = "{\n  \"bench\": \"twins_overhead\",\n";
-  char buffer[256];
-  std::snprintf(buffer, sizeof(buffer),
-                "  \"reps\": %d,\n  \"inert_overhead\": %.4f,\n"
-                "  \"rows\": [\n",
-                kReps, overhead);
-  json += buffer;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    std::snprintf(buffer, sizeof(buffer),
-                  "    {\"case\": \"%s\", \"wall_ms_per_run\": %.3f, "
-                  "\"rps\": %.3f, \"safety_violated\": %s}%s\n",
-                  row.name.c_str(), row.wallMsPerRun, row.rps,
-                  row.safetyViolated ? "true" : "false",
-                  i + 1 < rows.size() ? "," : "");
-    json += buffer;
-  }
-  json += "  ]\n}\n";
-
-  std::ofstream out("BENCH_twins.json", std::ios::trunc);
-  out << json;
-  std::printf("wrote BENCH_twins.json\n");
   return 0;
 }

@@ -214,6 +214,11 @@ std::string encodeDone(const DoneEvent& event) {
         !viewChanges || !safetyViolated || !failed || !timedOut || !error) {
       return std::nullopt;
     }
+    // Every executor clamps impact to [0, 1]; anything else (NaN included)
+    // is a corrupt line or a lying remote worker, and would otherwise become
+    // the controller's maximum impact and pin every later mutation distance
+    // at 1.
+    if (!(*impact >= 0.0 && *impact <= 1.0)) return std::nullopt;
     done.test = *test;
     done.outcome.impact = *impact;
     done.outcome.throughputRps = *throughputRps;

@@ -372,6 +372,28 @@ TEST(CampaignJournal, MalformedLinesAreRejected) {
   EXPECT_FALSE(decodeLine("{\"event\":\"mystery\",\"test\":1}").has_value());
 }
 
+TEST(CampaignJournal, DoneLinesWithImpactOutsideTheUnitIntervalAreRejected) {
+  // Executors clamp impact to [0, 1]. A line claiming more (a corrupt
+  // journal, or a lying --remote worker's outcome frame) must not reach the
+  // controller, where it would become the maximum impact for good.
+  DoneEvent event;
+  event.test = 3;
+  for (const double edge : {0.0, 1.0}) {
+    event.outcome.impact = edge;
+    EXPECT_TRUE(decodeLine(encodeDone(event)).has_value()) << edge;
+  }
+  event.outcome.impact = 0.5;
+  const std::string valid = encodeDone(event);
+  const std::string key = "\"impact\":";
+  const std::size_t at = valid.find(key) + key.size();
+  const std::size_t end = valid.find(',', at);
+  for (const char* bad : {"1e300", "nan", "-0.5", "2", "inf"}) {
+    std::string line = valid;
+    line.replace(at, end - at, bad);
+    EXPECT_FALSE(decodeLine(line).has_value()) << line;
+  }
+}
+
 TEST(CampaignJournal, TornFinalLineIsToleratedEarlierCorruptionIsNot) {
   const std::string dir = scratchDir("torn");
   const std::string path = dir + "/journal.jsonl";

@@ -37,12 +37,6 @@ bool isMutexType(const std::vector<Token>& toks, std::size_t i) {
   return false;
 }
 
-const std::set<std::string>& readerAccessorSet() {
-  static const std::set<std::string> kAccessors = {
-      "u8", "u16", "u32", "u64", "i64", "blob", "str"};
-  return kAccessors;
-}
-
 /// Splits the token range (begin, end) — exclusive of the delimiters — into
 /// top-level comma-separated argument ranges.
 std::vector<std::pair<std::size_t, std::size_t>> splitArgs(
@@ -265,23 +259,6 @@ void scanBody(const std::vector<Token>& toks, FunctionInfo& fn) {
         ++i;
         continue;
       }
-    }
-
-    // ByteReader accessor read (taint source harvest for R9).
-    if (readerAccessorSet().contains(name) && i >= 2 &&
-        (toks[i - 1].text == "." || toks[i - 1].text == "->") &&
-        isIdent(toks, i - 2) &&
-        lowered(toks[i - 2].text).find("reader") != std::string::npos &&
-        text(toks, i + 1) == "(") {
-      ReaderRead read;
-      read.accessor = name;
-      read.line = toks[i].line;
-      if (i >= 4 && toks[i - 3].text == "=" && isIdent(toks, i - 4)) {
-        read.boundVariable = toks[i - 4].text;
-      }
-      fn.readerReads.push_back(std::move(read));
-      ++i;
-      continue;
     }
 
     // Generic call site.

@@ -42,14 +42,6 @@ struct CallSite {
   std::vector<std::size_t> heldLocks;  // indices into FunctionInfo::locks
 };
 
-/// A `reader.u32()`-family read, with the variable it initializes (if the
-/// statement is a declaration) — the taint source set for R9.
-struct ReaderRead {
-  std::string accessor;       // u8/u16/u32/u64/i64/blob/str
-  std::string boundVariable;  // "" when the result is not bound to a name
-  std::size_t line = 0;
-};
-
 struct FunctionInfo {
   std::string name;       // unqualified (constructors keep the class name)
   std::string owner;      // qualifying/enclosing class, may be empty
@@ -59,7 +51,6 @@ struct FunctionInfo {
   std::size_t bodyEnd = 0;    // token index one past the closing '}'
   std::vector<LockSite> locks;
   std::vector<CallSite> calls;
-  std::vector<ReaderRead> readerReads;
   std::set<std::string> localMutexes;  // mutexes declared in the body
 };
 
