@@ -6,6 +6,7 @@
 // (and therefore MAC coverage) matches what a real deployment would sign.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -38,8 +39,13 @@ class ByteWriter {
   std::size_t size() const noexcept { return buf_.size(); }
 
  private:
+  /// Makes room for the whole value first, so the buffer grows at most
+  /// once per value (geometrically), not once per byte.
   template <typename T>
   void appendLe(T v) {
+    if (buf_.capacity() - buf_.size() < sizeof(T)) {
+      buf_.reserve(std::max(2 * buf_.capacity(), buf_.size() + sizeof(T)));
+    }
     for (std::size_t i = 0; i < sizeof(T); ++i) {
       buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
     }

@@ -4,7 +4,7 @@ namespace avd::crypto {
 
 MacTag MacService::generate(util::NodeId target, std::uint64_t digest) {
   const std::uint64_t callIndex = generateCalls_++;
-  MacTag tag = computeMac(keychain_->sessionKey(self_, target), digest);
+  MacTag tag = computeMac(sessionKey(target), digest);
   if (faultPolicy_ && faultPolicy_->shouldCorrupt(callIndex, target)) {
     tag = ~tag;
   }
@@ -13,7 +13,15 @@ MacTag MacService::generate(util::NodeId target, std::uint64_t digest) {
 
 bool MacService::verify(util::NodeId from, std::uint64_t digest,
                         MacTag tag) const noexcept {
-  return computeMac(keychain_->sessionKey(self_, from), digest) == tag;
+  return computeMac(sessionKey(from), digest) == tag;
+}
+
+MacKey MacService::sessionKey(util::NodeId peer) const {
+  if (peer >= kCachedPeers) return keychain_->sessionKey(self_, peer);
+  if (peer >= sessionKeys_.size()) sessionKeys_.resize(peer + 1);
+  std::optional<MacKey>& key = sessionKeys_[peer];
+  if (!key) key = keychain_->sessionKey(self_, peer);
+  return *key;
 }
 
 Authenticator MacService::authenticate(std::uint64_t digest,

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/types.h"
@@ -71,10 +72,18 @@ class MacService {
   util::NodeId self() const noexcept { return self_; }
 
  private:
+  /// Session key shared with `peer`, derived once per peer and cached; the
+  /// cache makes verify() write, so a MacService serves one thread. Ids
+  /// from kCachedPeers up (no deployment has that many nodes) are derived
+  /// on every call rather than growing the cache to reach them.
+  MacKey sessionKey(util::NodeId peer) const;
+  static constexpr util::NodeId kCachedPeers = 1u << 16;
+
   util::NodeId self_;
   const Keychain* keychain_;
   std::shared_ptr<MacFaultPolicy> faultPolicy_;
   std::uint64_t generateCalls_ = 0;
+  mutable std::vector<std::optional<MacKey>> sessionKeys_;
 };
 
 }  // namespace avd::crypto

@@ -22,7 +22,8 @@ Client::Client(util::NodeId id, const Config& config,
       retxTimeout_(retxTimeout),
       opGenerator_(opGenerator     ? std::move(opGenerator)
                    : behavior_.opGenerator ? behavior_.opGenerator
-                                           : defaultOp) {
+                                           : defaultOp),
+      replyVotes_(config_.replicaCount()) {
   if (behavior_.macPolicy != nullptr) {
     macs_.setFaultPolicy(behavior_.macPolicy);
   }
@@ -46,7 +47,7 @@ void Client::issueNext() {
       requestDigest(id(), currentTs_, currentOp_, currentReadOnly_);
   issueTime_ = now();
   outstanding_ = true;
-  replyVotes_.clear();
+  replyVotes_.assign(replyVotes_.size(), std::nullopt);
   ++issued_;
 
   // Read-only requests need 2f+1 replies, so they go to everyone at once.
@@ -113,7 +114,7 @@ void Client::onRetxTimer() {
     currentReadOnly_ = false;
     currentDigest_ =
         requestDigest(id(), currentTs_, currentOp_, currentReadOnly_);
-    replyVotes_.clear();
+    replyVotes_.assign(replyVotes_.size(), std::nullopt);
     ++readOnlyFallbacks_;
   }
   // Retransmissions go to everyone: backups must learn about the request so
@@ -137,32 +138,30 @@ void Client::onReply(const ReplyMessage& reply) {
   if (!macs_.verify(reply.replica, replyDigest(reply), reply.mac)) return;
   if (util::fnv1a(reply.result) != reply.resultDigest) return;
 
-  replyVotes_[reply.replica] = {reply.resultDigest, reply.view};
+  replyVotes_[reply.replica] = reply.resultDigest;
 
   // Ordered requests complete on f+1 matching replies; tentative read-only
   // requests need 2f+1 (enough to guarantee the answer reflects committed
   // state despite up to f Byzantine replies).
   const std::uint32_t needed =
       currentReadOnly_ ? 2 * config_.f + 1 : config_.f + 1;
-  std::map<std::uint64_t, std::uint32_t> tally;
-  for (const auto& [replica, vote] : replyVotes_) {
-    if (++tally[vote.first] >= needed && vote.first == reply.resultDigest) {
-      if (currentReadOnly_) ++readOnlyCompleted_;
-      outstanding_ = false;
-      if (retxArmed_) {
-        cancelTimer(retxTimer_);
-        retxArmed_ = false;
-      }
-      believedView_ = std::max(believedView_, reply.view);
-      lastResult_ = reply.result;
-      completions_.push_back(Completion{now(), now() - issueTime_});
-      if (behavior_.thinkTime > 0) {
-        setTimer(behavior_.thinkTime, [this] { issueNext(); });
-      } else {
-        issueNext();
-      }
-      return;
-    }
+  const auto matching = static_cast<std::uint32_t>(
+      std::count(replyVotes_.begin(), replyVotes_.end(), reply.resultDigest));
+  if (matching < needed) return;
+
+  if (currentReadOnly_) ++readOnlyCompleted_;
+  outstanding_ = false;
+  if (retxArmed_) {
+    cancelTimer(retxTimer_);
+    retxArmed_ = false;
+  }
+  believedView_ = std::max(believedView_, reply.view);
+  lastResult_ = reply.result;
+  completions_.push_back(Completion{now(), now() - issueTime_});
+  if (behavior_.thinkTime > 0) {
+    setTimer(behavior_.thinkTime, [this] { issueNext(); });
+  } else {
+    issueNext();
   }
 }
 

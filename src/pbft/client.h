@@ -17,8 +17,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/types.h"
@@ -130,8 +130,9 @@ class Client final : public sim::Node {
   std::uint32_t currentRetx_ = 0;
   std::uint64_t currentDigest_ = 0;
   sim::Time issueTime_ = 0;
-  /// replica -> (resultDigest, view) votes for the outstanding request.
-  std::map<util::NodeId, std::pair<std::uint64_t, util::ViewId>> replyVotes_;
+  /// Result digest each replica replied with for the outstanding request,
+  /// indexed by replica id (empty = no reply yet).
+  std::vector<std::optional<std::uint64_t>> replyVotes_;
 
   util::ViewId believedView_ = 0;
   sim::TimerId retxTimer_ = 0;

@@ -9,14 +9,74 @@
 // discarded and the watermarks advance.
 #pragma once
 
+#include <array>
+#include <bit>
+#include <cassert>
 #include <cstdint>
-#include <map>
+#include <deque>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
 #include "pbft/message.h"
 
 namespace avd::pbft {
+
+/// One phase's votes for one sequence: at most one endorsed digest per
+/// replica, stored flat as a presence mask plus a digest per replica id.
+/// Reads like a std::map<NodeId, digest>: operator[] inserts, and iteration
+/// yields (replica, digest) pairs in ascending replica order.
+class VoteSet {
+ public:
+  /// Replica ids must be below this (f <= 10); Replica checks its config.
+  static constexpr util::NodeId kCapacity = 32;
+
+  std::uint64_t& operator[](util::NodeId replica) noexcept {
+    assert(replica < kCapacity);
+    present_ |= std::uint32_t{1} << replica;
+    return digests_[replica];
+  }
+
+  bool empty() const noexcept { return present_ == 0; }
+  void clear() noexcept { present_ = 0; }
+
+  /// Votes endorsing `digest`.
+  std::size_t count(std::uint64_t digest) const noexcept {
+    std::size_t matching = 0;
+    for (const auto& [replica, vote] : *this) {
+      if (vote == digest) ++matching;
+    }
+    return matching;
+  }
+
+  class Iterator {
+   public:
+    Iterator(const VoteSet* set, std::uint32_t rest) noexcept
+        : set_(set), rest_(rest) {}
+    std::pair<util::NodeId, std::uint64_t> operator*() const noexcept {
+      const auto replica = static_cast<util::NodeId>(std::countr_zero(rest_));
+      return {replica, set_->digests_[replica]};
+    }
+    Iterator& operator++() noexcept {
+      rest_ &= rest_ - 1;  // drop the lowest replica still to visit
+      return *this;
+    }
+    bool operator==(const Iterator& other) const noexcept {
+      return rest_ == other.rest_;
+    }
+
+   private:
+    const VoteSet* set_;
+    std::uint32_t rest_;
+  };
+  Iterator begin() const noexcept { return {this, present_}; }
+  Iterator end() const noexcept { return {this, 0}; }
+
+ private:
+  std::uint32_t present_ = 0;
+  std::array<std::uint64_t, kCapacity> digests_{};
+};
 
 struct LogEntry {
   /// Pre-prepare accepted for this sequence in `view` (null until then).
@@ -26,9 +86,9 @@ struct LogEntry {
 
   /// PREPARE votes: replica -> endorsed digest. Never includes the primary
   /// (its pre-prepare stands in for its prepare).
-  std::map<util::NodeId, std::uint64_t> prepares;
+  VoteSet prepares;
   /// COMMIT votes: replica -> endorsed digest (includes own commit).
-  std::map<util::NodeId, std::uint64_t> commits;
+  VoteSet commits;
 
   bool prepareSent = false;
   bool commitSent = false;
@@ -71,21 +131,18 @@ struct LogEntry {
   }
 
  private:
-  std::size_t countMatching(
-      const std::map<util::NodeId, std::uint64_t>& votes) const noexcept {
-    if (prePrepare == nullptr) return 0;
-    std::size_t matching = 0;
-    for (const auto& [replica, voteDigest] : votes) {
-      if (voteDigest == digest) ++matching;
-    }
-    return matching;
+  std::size_t countMatching(const VoteSet& votes) const noexcept {
+    return prePrepare == nullptr ? 0 : votes.count(digest);
   }
 };
 
+/// The entries of a window of sequence numbers, indexed by seq - base.
+/// Only sequences reached through at() hold an entry; find() reports the
+/// others as absent, just as for a sparse map.
 class ReplicaLog {
  public:
   /// Returns (creating if needed) the entry at `seq`.
-  LogEntry& at(util::SeqNum seq) { return entries_[seq]; }
+  LogEntry& at(util::SeqNum seq);
 
   /// Entry lookup without creation; nullptr when absent.
   LogEntry* find(util::SeqNum seq);
@@ -103,12 +160,14 @@ class ReplicaLog {
   /// of installing a new view (fresh certificates are gathered there).
   void resetUnexecutedForNewView();
 
-  std::size_t size() const noexcept { return entries_.size(); }
-  auto begin() const noexcept { return entries_.begin(); }
-  auto end() const noexcept { return entries_.end(); }
+  /// Number of entries held.
+  std::size_t size() const noexcept { return entries_; }
 
  private:
-  std::map<util::SeqNum, LogEntry> entries_;
+  /// window_[i] is the slot of sequence base_ + i.
+  std::deque<std::optional<LogEntry>> window_;
+  util::SeqNum base_ = 0;
+  std::size_t entries_ = 0;
 };
 
 }  // namespace avd::pbft

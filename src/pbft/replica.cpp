@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -18,6 +19,10 @@ Replica::Replica(util::NodeId id, const Config& config,
       behavior_(behavior) {
   assert(id < config_.replicaCount());
   assert(service_ != nullptr);
+  if (config_.replicaCount() > VoteSet::kCapacity) {
+    throw std::invalid_argument(
+        "pbft::Replica: more replicas than a VoteSet holds");
+  }
   if (behavior_.timerSkew != 1.0) setTimerScale(behavior_.timerSkew);
   initialSnapshot_ = service_->snapshot();
 }
@@ -87,7 +92,7 @@ void Replica::onRestart() {
     nextSeq_ = record->stableSeq + 1;
     stableProof_ = record->checkpointProof;
     for (const auto& [client, timestamp] : record->clientTimestamps) {
-      clients_[client].lastExecutedTs = timestamp;
+      clientRecord(client).lastExecutedTs = timestamp;
     }
     if (record->stableSeq > 0) {
       // Re-seed the stable checkpoint so we can serve state transfers and
@@ -226,7 +231,7 @@ void Replica::onRequest(util::NodeId from, const RequestPtr& request) {
     return;
   }
 
-  ClientRecord& record = clients_[request->client];
+  ClientRecord& record = clientRecord(request->client);
   if (config_.clientAdmissionControl && !admitRequest(record)) {
     ++stats_.quotaDrops;
     return;
@@ -287,7 +292,7 @@ void Replica::onRequest(util::NodeId from, const RequestPtr& request) {
 }
 
 void Replica::noteDirectRequest(const RequestPtr& request) {
-  ClientRecord& record = clients_[request->client];
+  ClientRecord& record = clientRecord(request->client);
   if (record.pendingDirect == nullptr ||
       record.pendingDirect->timestamp <= request->timestamp) {
     record.pendingDirect = request;
@@ -297,7 +302,7 @@ void Replica::noteDirectRequest(const RequestPtr& request) {
       record.timerArmed = true;
       const util::NodeId client = request->client;
       record.timer = setTimer(config_.requestTimeout, [this, client] {
-        ClientRecord& rec = clients_[client];
+        ClientRecord& rec = clientRecord(client);
         rec.timerArmed = false;
         if (inViewChange_) return;
         if (rec.pendingDirect != nullptr &&
@@ -325,9 +330,9 @@ void Replica::onRequestTimerExpired() {
 }
 
 bool Replica::hasPendingDirectRequests() const {
-  for (const auto& [client, record] : clients_) {
-    if (record.pendingDirect != nullptr &&
-        record.pendingDirect->timestamp > record.lastExecutedTs) {
+  for (const std::optional<ClientRecord>& record : clients_) {
+    if (record && record->pendingDirect != nullptr &&
+        record->pendingDirect->timestamp > record->lastExecutedTs) {
       return true;
     }
   }
@@ -336,7 +341,7 @@ bool Replica::hasPendingDirectRequests() const {
 
 void Replica::onRequestExecuted(util::NodeId client,
                                 util::RequestId timestamp) {
-  ClientRecord& record = clients_[client];
+  ClientRecord& record = clientRecord(client);
   const bool wasDirect = record.pendingDirect != nullptr &&
                          record.pendingDirect->timestamp <= timestamp;
   if (wasDirect) record.pendingDirect = nullptr;
@@ -464,14 +469,23 @@ bool Replica::admitResend(ClientRecord& record) {
 
 std::size_t Replica::replyCacheBytes() const noexcept {
   std::size_t total = 0;
-  for (const auto& [client, record] : clients_) {
-    if (record.lastReply != nullptr) total += record.lastReply->wireSize();
+  for (const std::optional<ClientRecord>& record : clients_) {
+    if (record && record->lastReply != nullptr) {
+      total += record->lastReply->wireSize();
+    }
   }
   return total;
 }
 
+Replica::ClientRecord& Replica::clientRecord(util::NodeId client) {
+  if (client >= clients_.size()) clients_.resize(client + 1);
+  std::optional<ClientRecord>& record = clients_[client];
+  if (!record) record.emplace();
+  return *record;
+}
+
 void Replica::enqueueForOrdering(const RequestPtr& request) {
-  ClientRecord& record = clients_[request->client];
+  ClientRecord& record = clientRecord(request->client);
   if (request->timestamp <=
       std::max(record.lastQueuedTs, record.lastExecutedTs)) {
     return;  // already in flight or executed
@@ -771,11 +785,9 @@ bool Replica::adoptQuorumCertifiedPending(util::SeqNum seq) {
   if (prePrepare->view != view_) return false;
 
   LogEntry& entry = log_.at(seq);
-  std::size_t matching = 0;
-  for (const auto& [replica, digest] : entry.commits) {
-    if (digest == prePrepare->digest) ++matching;
+  if (entry.commits.count(prePrepare->digest) < config_.quorum()) {
+    return false;
   }
-  if (matching < config_.quorum()) return false;
 
   // 2f+1 replicas committed this digest, so at least f+1 correct replicas
   // authenticated every request in the batch: adopt it on quorum authority.
@@ -818,7 +830,7 @@ void Replica::maybeExecute() {
 void Replica::executeEntry(util::SeqNum seq, LogEntry& entry) {
   assert(seq == lastExecuted_ + 1);
   for (const RequestPtr& request : entry.prePrepare->batch) {
-    ClientRecord& record = clients_[request->client];
+    ClientRecord& record = clientRecord(request->client);
     if (request->timestamp <= record.lastExecutedTs) continue;
 
     util::Bytes result = service_->execute(request->client, request->operation);
@@ -1091,8 +1103,10 @@ void Replica::takeCheckpoint(util::SeqNum seq) {
   own.snapshot = service_->snapshot();
   own.clientTimestamps.clear();
   own.clientTimestamps.reserve(clients_.size());
-  for (const auto& [client, record] : clients_) {
-    own.clientTimestamps.emplace_back(client, record.lastExecutedTs);
+  for (util::NodeId client = 0; client < clients_.size(); ++client) {
+    if (const auto& record = clients_[client]) {
+      own.clientTimestamps.emplace_back(client, record->lastExecutedTs);
+    }
   }
   ++stats_.checkpointsTaken;
 
@@ -1158,9 +1172,8 @@ void Replica::checkCheckpointStable(util::SeqNum seq) {
       // at-most-once execution. This is what bounds reply-cache growth
       // under a replay storm from many one-shot clients.
       for (const auto& [client, frozenTs] : replyCacheFrozen_) {
-        const auto clientIt = clients_.find(client);
-        if (clientIt == clients_.end()) continue;
-        ClientRecord& record = clientIt->second;
+        if (client >= clients_.size() || !clients_[client]) continue;
+        ClientRecord& record = *clients_[client];
         if (record.lastReply != nullptr &&
             record.lastReply->timestamp <= frozenTs) {
           record.lastReply = nullptr;
@@ -1247,7 +1260,7 @@ void Replica::onStateResponse(util::NodeId from,
 
   lastExecuted_ = response.seq;
   for (const auto& [client, timestamp] : response.clientTimestamps) {
-    ClientRecord& record = clients_[client];
+    ClientRecord& record = clientRecord(client);
     if (timestamp > record.lastExecutedTs) {
       record.lastExecutedTs = timestamp;
       record.lastReply = nullptr;  // cannot reproduce replies we never sent
@@ -1284,10 +1297,10 @@ void Replica::startViewChange(util::ViewId newView) {
     requestTimerArmed_ = false;
   }
   if (config_.perRequestTimers) {
-    for (auto& [client, record] : clients_) {
-      if (record.timerArmed) {
-        cancelTimer(record.timer);
-        record.timerArmed = false;
+    for (std::optional<ClientRecord>& record : clients_) {
+      if (record && record->timerArmed) {
+        cancelTimer(record->timer);
+        record->timerArmed = false;
       }
     }
   }
@@ -1464,12 +1477,13 @@ void Replica::installNewView(util::ViewId newView,
     // Requests we saw directly but that never executed must be re-proposed;
     // clients will also retransmit, but this removes a round trip.
     orderingClear();
-    for (auto& [client, record] : clients_) {
-      record.lastQueuedTs = record.lastExecutedTs;
-      if (record.pendingDirect != nullptr &&
-          record.pendingDirect->timestamp > record.lastExecutedTs &&
-          orderingPush(record.pendingDirect)) {
-        record.lastQueuedTs = record.pendingDirect->timestamp;
+    for (std::optional<ClientRecord>& record : clients_) {
+      if (!record) continue;
+      record->lastQueuedTs = record->lastExecutedTs;
+      if (record->pendingDirect != nullptr &&
+          record->pendingDirect->timestamp > record->lastExecutedTs &&
+          orderingPush(record->pendingDirect)) {
+        record->lastQueuedTs = record->pendingDirect->timestamp;
       }
     }
     if (!behavior_.slowPrimary) scheduleBatchFlush();
@@ -1478,12 +1492,12 @@ void Replica::installNewView(util::ViewId newView,
   // Stalled direct requests must keep their liveness guarantee in the new
   // view: re-arm request timers for whatever is still pending.
   if (config_.perRequestTimers) {
-    for (auto& [client, record] : clients_) {
-      if (record.pendingDirect != nullptr &&
-          record.pendingDirect->timestamp > record.lastExecutedTs &&
-          !record.timerArmed) {
+    for (const std::optional<ClientRecord>& record : clients_) {
+      if (record && record->pendingDirect != nullptr &&
+          record->pendingDirect->timestamp > record->lastExecutedTs &&
+          !record->timerArmed) {
         // Reuse the direct-receipt arming path.
-        noteDirectRequest(record.pendingDirect);
+        noteDirectRequest(record->pendingDirect);
       }
     }
   } else if (hasPendingDirectRequests()) {

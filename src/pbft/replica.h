@@ -29,6 +29,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -234,6 +235,9 @@ class Replica final : public sim::Node {
   RequestPtr orderingTakeFor(util::NodeId client);
   void orderingClear();
 
+  /// The record of `client`, created on first use.
+  ClientRecord& clientRecord(util::NodeId client);
+
   // --- Admission control (Aardvark-style, Config::clientAdmissionControl) ---
   /// Charges one admission-window slot for `client`; false = over quota.
   bool admitRequest(ClientRecord& record);
@@ -308,9 +312,11 @@ class Replica final : public sim::Node {
   util::SeqNum stableSeq_ = 0;  // low watermark
 
   ReplicaLog log_;
-  // Ordered so that iteration (new-view queue rebuild, timer scans) is
-  // deterministic and platform-independent.
-  std::map<util::NodeId, ClientRecord> clients_;
+  /// Client records indexed by client id, grown on demand; a slot stays
+  /// empty until the replica first handles that client. Iteration runs in
+  /// ascending id order (new-view queue rebuild, timer scans, checkpoints),
+  /// and a deque keeps references stable while it grows.
+  std::deque<std::optional<ClientRecord>> clients_;
 
   /// Requests whose authenticator entry verified for us, by digest. A
   /// pre-prepare is acceptable when every batched request verifies directly

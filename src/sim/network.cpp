@@ -81,23 +81,26 @@ void Network::sendFrom(Node* sender, util::NodeId to, MessagePtr message) {
         static_cast<std::uint64_t>(model_.jitter) + 1));
   }
 
-  simulator_->schedule(
-      delay, [this, from, to, receiver, message = std::move(message)]() mutable {
-    // Twin instances bypass the bounded ingress path (lanes are keyed by
-    // logical id, which would always resolve to the side-0 instance).
-    if (model_.ingressEnabled() && from >= model_.ingressPriorityNodes &&
-        receiver == node(to)) {
-      enqueueIngress(from, to, std::move(message));
-      return;
-    }
-    if (!receiver->alive()) {
-      ++counters_.droppedDeadNode;
-      return;
-    }
-    ++counters_.delivered;
-    ++counters_.deliveredByKind[message->kind()];
-    receiver->receive(from, message);
-  });
+  simulator_->scheduleDelivery(delay, this, from, to, receiver,
+                               std::move(message));
+}
+
+void Network::deliver(util::NodeId from, util::NodeId to, Node* receiver,
+                      MessagePtr message) {
+  // Twin instances bypass the bounded ingress path (lanes are keyed by
+  // logical id, which would always resolve to the side-0 instance).
+  if (model_.ingressEnabled() && from >= model_.ingressPriorityNodes &&
+      receiver == node(to)) {
+    enqueueIngress(from, to, std::move(message));
+    return;
+  }
+  if (!receiver->alive()) {
+    ++counters_.droppedDeadNode;
+    return;
+  }
+  ++counters_.delivered;
+  ++counters_.deliveredByKind[message->kind()];
+  receiver->receive(from, message);
 }
 
 void Network::enqueueIngress(util::NodeId from, util::NodeId to,
@@ -137,8 +140,7 @@ void Network::enqueueIngress(util::NodeId from, util::NodeId to,
 
   if (!queue.serving) {
     queue.serving = true;
-    simulator_->schedule(model_.ingressServiceTime,
-                         [this, to] { serviceIngress(to); });
+    simulator_->scheduleIngressService(model_.ingressServiceTime, this, to);
   }
 }
 
@@ -174,8 +176,7 @@ void Network::serviceIngress(util::NodeId to) {
   }
 
   if (queue.depth > 0) {
-    simulator_->schedule(model_.ingressServiceTime,
-                         [this, to] { serviceIngress(to); });
+    simulator_->scheduleIngressService(model_.ingressServiceTime, this, to);
   } else {
     queue.serving = false;
   }

@@ -190,6 +190,15 @@ class Network {
   IngressStats ingressStats(util::NodeId id) const noexcept;
 
  private:
+  // The simulator dispatches Deliver and IngressService records to
+  // deliver() and serviceIngress().
+  friend class Simulator;
+
+  /// Delivery of a message sent earlier: straight to `receiver`, or into
+  /// the bounded ingress queue of `to` when that is enabled.
+  void deliver(util::NodeId from, util::NodeId to, Node* receiver,
+               MessagePtr message);
+
   /// One sender's FIFO lane within a receiver's ingress queue. In shared
   /// (non-fair) mode a single lane keyed by sender 0 holds all traffic.
   struct IngressLane {

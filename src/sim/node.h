@@ -115,10 +115,7 @@ class Node {
       delay = std::max<Time>(
           1, static_cast<Time>(static_cast<double>(delay) * timerScale_));
     }
-    return simulator_->schedule(
-        delay, [this, armedBy = incarnation_, fn = std::move(fn)] {
-          if (alive_ && incarnation_ == armedBy) fn();
-        });
+    return simulator_->scheduleTimer(delay, this, incarnation_, std::move(fn));
   }
 
   void cancelTimer(TimerId id) { simulator_->cancel(id); }

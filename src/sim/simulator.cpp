@@ -1,69 +1,143 @@
 #include "sim/simulator.h"
 
+#include <algorithm>
 #include <cassert>
+
+#include "sim/network.h"
+#include "sim/node.h"
 
 namespace avd::sim {
 
-TimerId Simulator::scheduleAt(Time when, std::function<void()> fn) {
+TimerId Simulator::push(Time when, Record record) {
   assert(when >= now_ && "cannot schedule into the past");
   const TimerId id = nextId_++;
-  heap_.push(Event{when, id, std::move(fn)});
+  std::uint32_t slot = 0;
+  if (freeSlots_.empty()) {
+    slot = static_cast<std::uint32_t>(records_.size());
+    records_.push_back(std::move(record));
+  } else {
+    slot = freeSlots_.back();
+    freeSlots_.pop_back();
+    records_[slot] = std::move(record);
+  }
+  states_.push_back(State::kPending);
+  ++live_;
+  heap_.push_back(Entry{when, id, slot});
+  siftUp(heap_.size() - 1);
   return id;
 }
 
-void Simulator::cancel(TimerId id) {
-  if (id != 0 && id < nextId_) cancelled_.insert(id);
+void Simulator::cancel(TimerId id) noexcept {
+  if (id == 0 || id >= nextId_) return;
+  State& state = stateOf(id);
+  if (state != State::kPending) return;
+  state = State::kCancelled;
+  --live_;
 }
 
-bool Simulator::popNext(Event& out) {
+bool Simulator::liveTop() {
   while (!heap_.empty()) {
-    // priority_queue::top returns const&; the function object must be moved
-    // out before pop, so cast away the container-imposed const. The element
-    // is removed immediately afterwards, preserving heap invariants.
-    Event& top = const_cast<Event&>(heap_.top());
-    Event event{top.when, top.id, std::move(top.fn)};
-    heap_.pop();
-    if (const auto it = cancelled_.find(event.id); it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
-    }
-    out = std::move(event);
-    return true;
+    const Entry top = heap_.front();
+    State& state = stateOf(top.id);
+    if (state == State::kPending) return true;
+    // A cancelled event: release what its record holds and its slot.
+    state = State::kSettled;
+    records_[top.slot].emplace<Call>();
+    freeSlots_.push_back(top.slot);
+    popHeap();
   }
   return false;
 }
 
-bool Simulator::step() {
-  Event event;
-  if (!popNext(event)) return false;
-  now_ = event.when;
+void Simulator::fireTop() {
+  const Entry top = heap_.front();
+  popHeap();
+  stateOf(top.id) = State::kSettled;
+  --live_;
+  // Move the record out first: running it may schedule events, which can
+  // reuse the slot or grow the table.
+  Record record = std::move(records_[top.slot]);
+  freeSlots_.push_back(top.slot);
+  now_ = top.when;
   ++executed_;
-  event.fn();
+  dispatch(record);
+}
+
+void Simulator::dispatch(Record& record) {
+  struct Dispatch {
+    void operator()(Call& call) const { call.fn(); }
+    void operator()(Deliver& deliver) const {
+      deliver.network->deliver(deliver.from, deliver.to, deliver.receiver,
+                               std::move(deliver.message));
+    }
+    void operator()(Timer& timer) const {
+      // Suppressed if the node crashed, or crashed and restarted, since
+      // the timer was armed.
+      if (timer.node->alive() &&
+          timer.node->incarnation() == timer.incarnation) {
+        timer.fn();
+      }
+    }
+    void operator()(IngressService& service) const {
+      service.network->serviceIngress(service.to);
+    }
+  };
+  std::visit(Dispatch{}, record);
+}
+
+bool Simulator::step() {
+  if (!liveTop()) return false;
+  fireTop();
   return true;
 }
 
 void Simulator::runUntil(Time deadline) {
-  for (;;) {
-    if (heap_.empty()) break;
-    // Peek the earliest live event without executing past the deadline.
-    Event event;
-    if (!popNext(event)) break;
-    if (event.when > deadline) {
-      // Put it back; it belongs to the future.
-      heap_.push(std::move(event));
-      break;
-    }
-    now_ = event.when;
-    ++executed_;
-    event.fn();
-  }
-  now_ = deadline;
+  while (liveTop() && heap_.front().when <= deadline) fireTop();
+  now_ = std::max(now_, deadline);
 }
 
 std::size_t Simulator::run(std::size_t maxEvents) {
   std::size_t executed = 0;
   while (executed < maxEvents && step()) ++executed;
   return executed;
+}
+
+// 4-ary min-heap on (when, id): half the depth of a binary heap, and the
+// four children of a node sit side by side in memory.
+
+void Simulator::siftUp(std::size_t index) noexcept {
+  const Entry entry = heap_[index];
+  while (index > 0) {
+    const std::size_t parent = (index - 1) / 4;
+    if (!earlier(entry, heap_[parent])) break;
+    heap_[index] = heap_[parent];
+    index = parent;
+  }
+  heap_[index] = entry;
+}
+
+void Simulator::siftDown(std::size_t index) noexcept {
+  const std::size_t size = heap_.size();
+  const Entry entry = heap_[index];
+  for (;;) {
+    const std::size_t first = 4 * index + 1;
+    if (first >= size) break;
+    const std::size_t last = std::min(first + 4, size);
+    std::size_t best = first;
+    for (std::size_t child = first + 1; child < last; ++child) {
+      if (earlier(heap_[child], heap_[best])) best = child;
+    }
+    if (!earlier(heap_[best], entry)) break;
+    heap_[index] = heap_[best];
+    index = best;
+  }
+  heap_[index] = entry;
+}
+
+void Simulator::popHeap() noexcept {
+  heap_.front() = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) siftDown(0);
 }
 
 }  // namespace avd::sim

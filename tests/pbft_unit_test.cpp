@@ -4,6 +4,8 @@
 
 #include <memory>
 
+#include "common/bytes.h"
+#include "common/hash.h"
 #include "pbft/config.h"
 #include "pbft/log.h"
 #include "pbft/message.h"
@@ -46,6 +48,28 @@ TEST(Digests, RequestDigestBindsAllFields) {
   EXPECT_NE(base, requestDigest(1, 9, op)) << "timestamp";
   EXPECT_NE(base, requestDigest(1, 2, util::Bytes{1, 2})) << "operation";
   EXPECT_EQ(base, requestDigest(1, 2, op)) << "deterministic";
+}
+
+TEST(Digests, RequestDigestIsFnvOfTheCanonicalEncoding) {
+  // requestDigest streams its bytes into FNV-1a; the digest must equal
+  // FNV-1a over the ByteWriter encoding a wire deployment would sign.
+  util::Bytes kib(1024);
+  for (std::size_t i = 0; i < kib.size(); ++i) {
+    kib[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  }
+  for (const util::Bytes& op : {util::Bytes{}, util::Bytes{0xA5}, kib}) {
+    for (const bool readOnly : {false, true}) {
+      util::ByteWriter writer;
+      writer.u32(static_cast<std::uint32_t>(MsgKind::kRequest));
+      writer.u32(7);
+      writer.u64(0x0123456789ABCDEFULL);
+      writer.blob(op);
+      writer.u8(readOnly ? 1 : 0);
+      EXPECT_EQ(requestDigest(7, 0x0123456789ABCDEFULL, op, readOnly),
+                util::fnv1a(writer.bytes()))
+          << op.size() << "-byte operation, readOnly=" << readOnly;
+    }
+  }
 }
 
 TEST(Digests, BatchDigestIsOrderSensitive) {

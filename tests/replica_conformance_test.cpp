@@ -311,6 +311,25 @@ TEST(Conformance, BadClientMacDropsRequestSilently) {
   EXPECT_TRUE(h.probes[0]->inbox.empty());
 }
 
+TEST(Conformance, TamperedCopyOfVerifiedRequestIsStillRejected) {
+  // A tampering fault copies a request and flips a bit of its operation,
+  // keeping digest and authenticator. Having verified the original must not
+  // vouch for the copy: each arrival is checked against its own body.
+  Harness h;
+  const RequestPtr request = h.makeRequest(4, 1);
+  h.deliver(4, request);
+  EXPECT_EQ(h.replica->stats().requestsBadMac, 0u);
+
+  auto tampered = std::make_shared<RequestMessage>(*request);
+  tampered->operation[0] ^= 0x10;
+  h.deliver(4, tampered);
+  EXPECT_EQ(h.replica->stats().requestsBadMac, 1u);
+
+  h.deliver(0, h.makePrePrepare(0, 1, {tampered}));
+  EXPECT_EQ(h.replica->stats().prePreparesRejected, 1u);
+  EXPECT_TRUE(h.probes[0]->received<PrepareMessage>(MsgKind::kPrepare).empty());
+}
+
 TEST(Conformance, BackupForwardsDirectRequestsToPrimary) {
   Harness h;
   h.deliver(4, h.makeRequest(4, 1));

@@ -54,6 +54,32 @@ TEST(Simulator, CancelIsIdempotentAndTolerant) {
   simulator.run();
 }
 
+TEST(Simulator, CancelAfterFireIsANoOp) {
+  Simulator simulator;
+  int fired = 0;
+  const TimerId id = simulator.schedule(10, [&] { ++fired; });
+  simulator.run();
+  EXPECT_EQ(fired, 1);
+  simulator.cancel(id);  // already fired: nothing to cancel
+  EXPECT_EQ(simulator.pendingEvents(), 0u);
+  simulator.schedule(5, [&] { ++fired; });
+  EXPECT_EQ(simulator.pendingEvents(), 1u);
+  simulator.run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(simulator.pendingEvents(), 0u);
+}
+
+TEST(Simulator, RunUntilNeverMovesTimeBackwards) {
+  Simulator simulator;
+  simulator.runUntil(100);
+  simulator.runUntil(40);  // a deadline in the past runs nothing
+  EXPECT_EQ(simulator.now(), 100);
+  Time firedAt = 0;
+  simulator.schedule(10, [&] { firedAt = simulator.now(); });
+  simulator.run();
+  EXPECT_EQ(firedAt, 110);
+}
+
 TEST(Simulator, RunUntilStopsAtDeadline) {
   Simulator simulator;
   std::vector<Time> fired;
