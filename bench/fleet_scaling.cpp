@@ -1,20 +1,22 @@
-// Fleet scaling bench: scenarios/sec for the in-process executor pool vs
-// the multi-process fleet (fork+exec workers over socketpairs) at equal
-// worker counts, on the quorum API target.
+// Fleet scaling bench: scenarios/sec for thread workers (CampaignRunner)
+// vs process workers (fork+exec over socketpairs) at equal worker counts,
+// on the quorum API target. Both run on the one campaign scheduler, the
+// fleet coordinator, with the same window, so both rows explore the same
+// scenarios in the same order; the bench exits 1 if their histories
+// differ.
 //
-// The interesting number is the fleet/runner ratio at equal W: the fleet
-// pays fork+exec, framing, and heartbeat overhead for its crash
-// containment, and this bench checks that cost stays negligible (the
-// acceptance bar is ratio >= 1.0 within noise on a host with >= W cores,
-// since scenario execution dwarfs IPC).
+// The interesting number is the process/thread ratio at equal W: process
+// workers pay fork+exec and executor construction per worker for their
+// crash containment, and this bench checks that cost stays negligible
+// (the acceptance bar is ratio >= 1.0 within noise on a host with >= W
+// cores, since scenario execution dwarfs IPC).
 //
 // On a 1-core container the ratio is structurally < 1.0 and that is
 // interpretable rather than alarming: both modes serialize all scenario
-// work onto the same CPU, so the fleet's per-worker startup constant
+// work onto the same CPU, so the per-worker startup constant of a process
 // (~0.1 s each for fork+exec plus executor construction, measured by
 // varying W at a tiny scenario budget) and the extra scheduler churn of
-// W processes + heartbeat threads are pure overhead that parallelism
-// never buys back.
+// W processes are pure overhead that parallelism never buys back.
 //
 // Re-invokes itself in "fleet-worker" mode for the worker processes.
 #include <chrono>
@@ -49,7 +51,12 @@ struct Row {
   std::size_t executed = 0;
 };
 
-Row runInProcess(std::size_t workers, std::size_t tests) {
+struct Run {
+  Row row;
+  std::vector<core::TestRecord> history;
+};
+
+Run runThreads(std::size_t workers, std::size_t tests) {
   campaign::CampaignOptions options;
   options.seed = 2011;
   options.totalTests = tests;
@@ -63,23 +70,19 @@ Row runInProcess(std::size_t workers, std::size_t tests) {
   const auto stop = std::chrono::steady_clock::now();  // avd-lint: allow(nondeterminism)
 
   Row row;
-  row.mode = "in-process";
+  row.mode = "threads";
   row.workers = workers;
   row.seconds = std::chrono::duration<double>(stop - start).count();
   row.executed = result.executed;
   row.maxImpact = result.maxImpact;
-  return row;
+  return {row, result.history};
 }
 
-Row runFleet(std::size_t spawn, std::size_t tests) {
+Run runProcesses(std::size_t spawn, std::size_t tests) {
   campaign::fleet::FleetOptions options;
   options.campaign.seed = 2011;
   options.campaign.totalTests = tests;
   options.spawn = spawn;
-  // Per-scenario dispatch: quorum scenarios cost milliseconds, so amortizing
-  // IPC with bigger batches only adds head-of-line blocking at the in-order
-  // fold. Large batches pay off when scenarios are microseconds, not here.
-  options.batch = 1;
   options.launcher = [](std::size_t) {
     return util::spawnWithSocket({util::selfExePath(), "fleet-worker"});
   };
@@ -91,12 +94,24 @@ Row runFleet(std::size_t spawn, std::size_t tests) {
   const auto stop = std::chrono::steady_clock::now();  // avd-lint: allow(nondeterminism)
 
   Row row;
-  row.mode = "fleet";
+  row.mode = "processes";
   row.workers = spawn;
   row.seconds = std::chrono::duration<double>(stop - start).count();
   row.executed = result.executed;
   row.maxImpact = result.maxImpact;
-  return row;
+  return {row, result.history};
+}
+
+bool sameExploration(const std::vector<core::TestRecord>& a,
+                     const std::vector<core::TestRecord>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].point != b[i].point ||
+        a[i].outcome.impact != b[i].outcome.impact) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void finishRow(Row& row) {
@@ -124,10 +139,12 @@ int main(int argc, char** argv) {
               "scenarios/s", "maxImpact");
 
   std::vector<Row> rows;
+  bool same = true;
   for (const std::size_t workers : {std::size_t{2}, std::size_t{4}}) {
-    for (const bool fleet : {false, true}) {
-      Row row = fleet ? runFleet(workers, kTests)
-                      : runInProcess(workers, kTests);
+    const Run threads = runThreads(workers, kTests);
+    const Run processes = runProcesses(workers, kTests);
+    same = same && sameExploration(threads.history, processes.history);
+    for (Row row : {threads.row, processes.row}) {
       finishRow(row);
       std::printf("%12s %8zu %10.3f %14.1f %10.3f\n", row.mode.c_str(),
                   row.workers, row.seconds, row.scenariosPerSec,
@@ -140,7 +157,7 @@ int main(int argc, char** argv) {
         rows[i].scenariosPerSec > 0.0
             ? rows[i + 1].scenariosPerSec / rows[i].scenariosPerSec
             : 0.0;
-    std::printf("fleet/runner ratio at W=%zu: %.2fx\n", rows[i].workers,
+    std::printf("process/thread ratio at W=%zu: %.2fx\n", rows[i].workers,
                 ratio);
   }
   if (cores < 4) {
@@ -149,6 +166,10 @@ int main(int argc, char** argv) {
         "fleet's per-worker spawn constant is pure overhead; the >= 1.0x "
         "bar applies to hosts with >= W cores.\n",
         cores);
+  }
+  if (!same) {
+    std::printf("FAIL: thread and process workers explored differently\n");
+    return 1;
   }
   return 0;
 }

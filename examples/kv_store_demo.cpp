@@ -29,8 +29,11 @@ int main() {
   config.seed = 123;
   // Each client PUTs to its own key space: op i is PUT("k<i%32>", "v<i>").
   config.correctClientBehavior.opGenerator = [](util::RequestId i) {
-    return pbft::KvService::encodePut("k" + std::to_string(i % 32),
-                                      "v" + std::to_string(i));
+    std::string key = "k";
+    key += std::to_string(i % 32);
+    std::string value = "v";
+    value += std::to_string(i);
+    return pbft::KvService::encodePut(key, value);
   };
 
   pbft::Deployment deployment(config);

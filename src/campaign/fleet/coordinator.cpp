@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <filesystem>
 #include <set>
 #include <stdexcept>
@@ -41,7 +40,7 @@ struct Slot {
   WatchClock::time_point respawnAt{};   // kBackoff: when to relaunch
   WatchClock::time_point wedgeAt{};     // kActive: current scenario deadline
   std::uint64_t backoffMs = 0;          // capped-exponential ladder position
-  std::deque<std::uint64_t> assigned;   // outstanding tests, assignment order
+  std::uint64_t assigned = 0;           // test it is executing; 0 = idle
 };
 
 }  // namespace
@@ -367,20 +366,11 @@ CampaignResult FleetCoordinator::drive(
     Slot& slot = slots[index];
     ++result.workerCrashes;
     closeSlotConn(slot);
-    std::uint64_t culprit = 0;
-    if (wedged && !slot.assigned.empty()) {
-      // Workers execute their batch serially in assignment order, so the
-      // scenario on the deadline is the head of the queue.
-      culprit = slot.assigned.front();
-      ++wedgeKills[culprit];
-    }
-    for (const std::uint64_t test : slot.assigned) {
-      if (test <= foldedThrough || completedBuffer.contains(test)) continue;
-      if (test == culprit &&
-          wedgeKills[test] >= options_.wedgeKillLimit) {
+    const std::uint64_t test = slot.assigned;
+    if (test != 0 && test > foldedThrough && !completedBuffer.contains(test)) {
+      if (wedged && ++wedgeKills[test] >= options_.wedgeKillLimit) {
         // This point wedged multiple fresh workers; stop feeding it
-        // processes and fold a timed-out zero outcome, exactly like the
-        // in-process watchdog would.
+        // workers and fold a timed-out zero outcome.
         DoneEvent done;
         done.test = test;
         done.timedOut = true;
@@ -391,7 +381,7 @@ CampaignResult FleetCoordinator::drive(
         ++result.reassigned;
       }
     }
-    slot.assigned.clear();
+    slot.assigned = 0;
     slot.wedgeAt = kNever;
     if (slot.spawnedKind) {
       if (respawnsUsed < options_.maxWorkerRespawns && options_.launcher) {
@@ -470,13 +460,11 @@ CampaignResult FleetCoordinator::drive(
         const auto event = decodeLine(payload);
         if (!event || event->kind != JournalEvent::Kind::kDone) return false;
         const std::uint64_t test = event->done.test;
-        const auto at =
-            std::find(slot.assigned.begin(), slot.assigned.end(), test);
-        if (at != slot.assigned.end()) slot.assigned.erase(at);
+        if (slot.assigned == test) {
+          slot.assigned = 0;
+          slot.wedgeAt = kNever;
+        }
         slot.backoffMs = 0;  // a delivered outcome resets the backoff ladder
-        slot.wedgeAt = (slot.assigned.empty() || scenarioTimeoutMs == 0)
-                           ? kNever
-                           : now + std::chrono::milliseconds(scenarioTimeoutMs);
         if (test > foldedThrough && !completedBuffer.contains(test) &&
             pendingScenarios.contains(test)) {
           completedBuffer.emplace(test, event->done);
@@ -489,26 +477,25 @@ CampaignResult FleetCoordinator::drive(
     }
   };
 
+  // One scenario per worker at a time: a queue behind a busy worker would
+  // only idle the others at the in-order fold.
   const auto assignWork = [&](WatchClock::time_point now) {
     if (draining) return;
-    for (std::size_t s = 0; s < slots.size(); ++s) {
+    for (std::size_t s = 0; s < slots.size() && !unassigned.empty(); ++s) {
       Slot& slot = slots[s];
-      if (slot.phase != Slot::Phase::kActive) continue;
-      while (slot.assigned.size() < options_.batch && !unassigned.empty()) {
-        const std::uint64_t test = *unassigned.begin();
-        const auto scenIt = pendingScenarios.find(test);
-        Assign assign;
-        assign.test = test;
-        assign.point = scenIt->second.point;
-        if (!util::writeFrame(slot.fd, encodeAssign(assign))) {
-          handleDeath(s, false, now);
-          break;
-        }
-        unassigned.erase(unassigned.begin());
-        if (slot.assigned.empty() && scenarioTimeoutMs > 0) {
-          slot.wedgeAt = now + std::chrono::milliseconds(scenarioTimeoutMs);
-        }
-        slot.assigned.push_back(test);
+      if (slot.phase != Slot::Phase::kActive || slot.assigned != 0) continue;
+      const std::uint64_t test = *unassigned.begin();
+      Assign assign;
+      assign.test = test;
+      assign.point = pendingScenarios.at(test).point;
+      if (!util::writeFrame(slot.fd, encodeAssign(assign))) {
+        handleDeath(s, false, now);
+        continue;
+      }
+      unassigned.erase(unassigned.begin());
+      slot.assigned = test;
+      if (scenarioTimeoutMs > 0) {
+        slot.wedgeAt = now + std::chrono::milliseconds(scenarioTimeoutMs);
       }
     }
   };
@@ -553,9 +540,10 @@ CampaignResult FleetCoordinator::drive(
     const auto now = WatchClock::now();
     assignWork(now);
 
-    std::size_t outstanding = 0;
-    for (const Slot& slot : slots) outstanding += slot.assigned.size();
-    if (outstanding == 0) {
+    const bool outstanding = std::any_of(
+        slots.begin(), slots.end(),
+        [](const Slot& slot) { return slot.assigned != 0; });
+    if (!outstanding) {
       if (draining) break;  // drained: all assigned work has folded
       if (!anyProgressPossible(now)) {
         result.aborted = true;
@@ -684,13 +672,16 @@ CampaignResult FleetCoordinator::drive(
   }
 
   // Graceful teardown: shutdown frames let workers exit 0; EOF covers any
-  // that miss it; reap so nothing is left as a zombie.
+  // that miss it; reap so nothing is left as a zombie. Every worker hears
+  // its shutdown before the first reap, so they exit in parallel.
   for (Slot& slot : slots) {
     if (slot.fd >= 0) {
       (void)util::writeFrame(slot.fd, encodeShutdown());
       util::closeFd(slot.fd);
       slot.fd = -1;
     }
+  }
+  for (Slot& slot : slots) {
     if (slot.pid > 0) {
       (void)util::reapProcess(slot.pid);
       slot.pid = -1;

@@ -1,27 +1,33 @@
-// Fleet coordinator: the single process that owns the Controller and the
-// campaign journal, and farms scenario execution out to worker processes.
+// Fleet coordinator: the campaign scheduler for every parallel or
+// watchdog campaign. It owns the Controller and the campaign journal and
+// farms scenario execution out to workers: fork+exec'd processes
+// (`avd_cli fleet`), threads of this process (CampaignRunner, via
+// fleet/thread_fleet.h), or workers connecting over TCP.
 //
-// Topology: the coordinator spawns `spawn` local workers (fork+exec over a
-// Unix socketpair) and optionally listens on loopback TCP for
-// `remoteSlots` externally started workers. Workers execute scenarios;
-// only the coordinator ever touches the Controller, so Algorithm 1's
-// learning loop stays strictly sequential and deterministic.
+// Topology: the coordinator starts `spawn` local workers through its
+// Launcher (a process over a Unix socketpair, or a thread over one) and
+// optionally listens on loopback TCP for `remoteSlots` externally started
+// workers. Workers execute scenarios, one at a time each; only the
+// coordinator ever touches the Controller, so Algorithm 1's learning loop
+// stays strictly sequential and deterministic.
 //
 // Determinism contract (what makes the chaos tests exact): the journal's
-// gen/done interleave is a pure function of (seed, batch x slots, total).
-// "gen" lines are appended greedily whenever fewer than L = batch x slots
-// scenarios are generated-but-unfolded; "done" lines are appended strictly
-// in test order (out-of-order completions buffer in memory until their
-// turn). Worker crashes, wedge kills, reassignment, drain, and
-// kill-plus-resume therefore never change the journal bytes — an
-// interrupted-and-resumed campaign's journal is byte-identical to an
-// uninterrupted same-seed run's.
+// gen/done interleave is a pure function of (seed, L, total), where the
+// window is L = batch x slots. "gen" lines are appended greedily whenever
+// fewer than L scenarios are generated-but-unfolded; "done" lines are
+// appended strictly in test order (out-of-order completions buffer in
+// memory until their turn). Worker crashes, wedge kills, reassignment,
+// drain, kill-plus-resume and the choice of threads or processes therefore
+// never change the journal bytes — an interrupted-and-resumed campaign's
+// journal is byte-identical to an uninterrupted same-seed run's.
 //
 // Failure handling: per-worker heartbeats with deadline detection, pid
-// liveness checks, per-slot wedge deadlines (kill the process to recover
-// the slot — unlike an in-process thread, a process can always be killed),
-// capped-exponential-backoff respawns from a bounded budget, and in-flight
-// reassignment (outcomes are pure functions of points). Completed outcomes
+// liveness checks, per-slot wedge deadlines (kill the worker to recover
+// the slot; a thread worker's "kill" only closes its socket, and the
+// thread exits once its scenario returns), capped-exponential-backoff
+// respawns from a bounded budget, and reassignment of a dead worker's
+// scenario (outcomes are pure functions of points). A scenario that wedges
+// wedgeKillLimit workers folds as timed out. Completed outcomes
 // additionally live in per-worker shard files (fleet/shard.h) so that
 // killing the *coordinator* loses nothing either: resume() merges shards
 // and re-folds instead of re-executing.
@@ -41,9 +47,9 @@
 namespace avd::campaign::fleet {
 
 /// Launches worker #slot and returns its pid plus the coordinator's end of
-/// the connection. Production: spawnWithSocket of this binary in
-/// fleet-worker mode. Tests: a std::thread running runWorker over a
-/// socketpair, with pid = -1 (failure detection then rests on EOF and
+/// the connection. Processes: spawnWithSocket of this binary in
+/// fleet-worker mode. Threads: ThreadFleet::launcher, which runs runWorker
+/// over a socketpair with pid = -1 (failure detection then rests on EOF and
 /// heartbeats alone; "kill" degrades to closing the socket).
 using Launcher =
     std::function<std::optional<util::SpawnedProcess>(std::size_t slot)>;
@@ -64,8 +70,9 @@ struct FleetOptions {
   /// (avd_cli requires --allow-any-bind before it accepts 0.0.0.0).
   std::string bindAddr = "127.0.0.1";
   std::uint16_t bindPort = 0;
-  /// Scenarios assigned to one worker at a time; the generation window is
-  /// L = batch * (spawn + remoteSlots).
+  /// Generation window per slot: up to L = batch * (spawn + remoteSlots)
+  /// scenarios are generated ahead of the fold. Each worker still executes
+  /// one scenario at a time.
   std::size_t batch = 4;
   std::uint64_t heartbeatMs = 200;
   /// A worker silent for heartbeatMs * this factor is declared dead.
@@ -74,7 +81,7 @@ struct FleetOptions {
   /// apply to a freshly (re)spawned worker; also the window during which
   /// an empty remote slot counts as "progress still possible".
   std::uint64_t spawnGraceMs = 10000;
-  /// Process respawn budget across the whole run; 0 = never respawn.
+  /// Worker respawn budget across the whole run; 0 = never respawn.
   std::size_t maxWorkerRespawns = 8;
   std::uint64_t respawnBackoffBaseMs = 50;
   std::uint64_t respawnBackoffCapMs = 1000;

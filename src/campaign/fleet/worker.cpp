@@ -1,14 +1,14 @@
 #include "campaign/fleet/worker.h"
 
-#include <atomic>
 #include <chrono>
-#include <exception>
+#include <condition_variable>
 #include <mutex>
 #include <thread>
 #include <utility>
 
 #include "campaign/fleet/protocol.h"
 #include "campaign/fleet/shard.h"
+#include "campaign/runner.h"
 #include "common/framing.h"
 #include "common/proc.h"
 
@@ -25,6 +25,8 @@ using BeatClock = std::chrono::steady_clock;
 /// Shared between the executing thread and the heartbeat thread.
 struct BusyState {
   std::mutex mutex;
+  std::condition_variable stopped;  // notified once `stop` is set
+  bool stop = false;                // guarded by mutex
   std::uint64_t busyTest = 0;  // guarded by mutex; 0 = idle
   BeatClock::time_point busySince;  // guarded by mutex
 };
@@ -73,16 +75,16 @@ int runWorker(int fd, const WorkerExecutorFactory& makeExecutor,
   // the outcome path must not interleave halves of different frames.
   std::mutex writeMutex;
   BusyState busy;
-  std::atomic<bool> stop{false};
 
   std::thread beater([&] {
     const auto interval =
         std::chrono::milliseconds(std::max<std::uint64_t>(
             1, welcome->heartbeatMs));
-    while (!stop.load(std::memory_order_relaxed)) {
+    for (;;) {
       Heartbeat beat;
       {
         const std::lock_guard<std::mutex> guard(busy.mutex);
+        if (busy.stop) break;
         beat.busyTest = busy.busyTest;
         if (busy.busyTest != 0) {
           beat.busyMs = static_cast<std::uint64_t>(
@@ -95,11 +97,20 @@ int runWorker(int fd, const WorkerExecutorFactory& makeExecutor,
         const std::lock_guard<std::mutex> guard(writeMutex);
         if (!util::writeFrame(fd, encodeHeartbeat(beat))) break;
       }
-      std::this_thread::sleep_for(interval);
+      // Sleeps out the interval unless the worker stops first, so an exit
+      // never waits for the next beat.
+      std::unique_lock<std::mutex> lock(busy.mutex);
+      if (busy.stopped.wait_for(lock, interval, [&] { return busy.stop; })) {
+        break;
+      }
     }
   });
   const auto finish = [&](int code) {
-    stop.store(true, std::memory_order_relaxed);
+    {
+      const std::lock_guard<std::mutex> guard(busy.mutex);
+      busy.stop = true;
+    }
+    busy.stopped.notify_all();
     beater.join();
     shard.close();
     util::closeFd(fd);
@@ -121,17 +132,8 @@ int runWorker(int fd, const WorkerExecutorFactory& makeExecutor,
       busy.busyTest = assign->test;
       busy.busySince = BeatClock::now();
     }
-    DoneEvent done;
-    done.test = assign->test;
-    try {
-      done.outcome = executor->execute(assign->point);
-    } catch (const std::exception& e) {
-      done.failed = true;
-      done.error = e.what();
-    } catch (...) {
-      done.failed = true;
-      done.error = "unknown executor exception";
-    }
+    const DoneEvent done = executeChecked(*executor, assign->test,
+                                          assign->point);
     {
       const std::lock_guard<std::mutex> guard(busy.mutex);
       busy.busyTest = 0;

@@ -1,16 +1,18 @@
-// Fleet worker: the process (or, in tests, thread) that actually executes
-// scenarios.
+// Fleet worker: the process (or, in CampaignRunner and the tests, thread)
+// that actually executes scenarios.
 //
 // Life cycle: connect -> hello -> welcome (learn slot/incarnation, system,
 // seed, shard location) -> loop { assign -> execute -> shard append ->
 // outcome frame } until a shutdown frame or EOF. A heartbeat thread beats
 // every heartbeatMs the whole time, carrying how long the current scenario
 // has been running, so the coordinator can distinguish a wedged scenario
-// (heart beating, busyMs growing) from a dead process (silence / EOF).
+// (heart beating, busyMs growing) from a dead process (silence / EOF). The
+// worker returns as soon as it stops, without waiting out a beat.
 //
-// Crash containment is the point: anything that kills this process — UB in
-// a deployment, abort, OOM kill — costs the coordinator one respawn and a
-// re-execution of the worker's in-flight batch, never the campaign.
+// Crash containment is the point of a worker process: anything that kills
+// it — UB in a deployment, abort, OOM kill — costs the coordinator one
+// respawn and a re-execution of the worker's in-flight scenario, never the
+// campaign.
 #pragma once
 
 #include <cstdint>

@@ -2,28 +2,29 @@
 // campaign (docs/campaign.md).
 //
 // The paper's controller explores one scenario at a time; each scenario
-// re-initializes a full deployment, so test *execution* is embarrassingly
-// parallel while test *generation* is a cheap sequential learning step. The
-// runner exploits exactly that split: one Controller drives Algorithm 1
-// through its batch-asynchronous acquire/report interface, while up to W
-// ScenarioExecutor instances — one per worker, each owning its own fresh
-// deployments, no shared mutable state — execute acquired scenarios on a
-// thread pool. Outcomes are folded back into the controller in completion
-// order.
+// re-initializes a full deployment, so test *execution* fans out while test
+// *generation* stays a cheap sequential learning step. CampaignRunner has
+// two drivers for that split:
 //
-// Reliability properties:
+//  * Serial (workers == 1, no watchdog): inline acquire -> execute ->
+//    report on the calling thread, bit-identical to Controller::runTests
+//    for the same seed. It is the reference the golden journals pin.
+//  * Everything else runs on fleet::FleetCoordinator with in-process
+//    thread workers (fleet/thread_fleet.h): one scheduler, one watchdog and
+//    one respawn policy for threads and processes alike. The journal is a
+//    pure function of (seed, window, total), so a thread campaign's
+//    directory is a fleet directory that `avd_cli campaign --resume` can
+//    also continue with worker processes.
+//
+// Reliability properties, in both drivers:
 //  * every acquire and report is journaled (campaign/journal.h), so a
 //    killed campaign resumes exactly where it stopped;
-//  * a worker that throws produces a failed zero-impact outcome, not a dead
-//    campaign;
-//  * an optional watchdog declares scenarios that exceed a wall-clock
-//    budget timed out and retires their worker slot, so one wedged scenario
-//    cannot stall the whole campaign (a campaign whose every worker wedges
-//    aborts with partial results).
-//
-// With workers == 1 and no watchdog the runner executes inline on the
-// calling thread in acquire -> execute -> report order, which makes a
-// serial campaign bit-identical to Controller::runTests for the same seed.
+//  * an executor that throws, or reports an impact outside [0, 1], yields
+//    a failed zero-impact scenario, not a dead campaign (executeChecked);
+//  * with a scenarioTimeoutMs budget, the coordinator retires a wedged
+//    worker, retries its scenario once elsewhere, then folds it as timed
+//    out; a campaign whose every worker wedges past the respawn budget
+//    aborts with partial results.
 #pragma once
 
 #include <cstdint>
@@ -40,10 +41,12 @@
 
 namespace avd::campaign {
 
-/// Builds one executor instance. Called once per worker; each instance is
-/// owned by exactly one worker thread at a time. Instances must be
-/// behaviorally identical (same options/seeds) so an outcome is a pure
-/// function of the point regardless of which worker runs it.
+/// Builds one executor instance. Called once for the controller's view of
+/// the hyperspace and once per worker (re)start, on that worker's thread,
+/// so calls may run concurrently. Each instance is owned by exactly one
+/// worker thread. Instances must be behaviorally identical (same
+/// options/seeds) so an outcome is a pure function of the point regardless
+/// of which worker runs it.
 using ExecutorFactory =
     std::function<std::unique_ptr<core::ScenarioExecutor>()>;
 
@@ -54,7 +57,8 @@ using PluginFactory =
 struct CampaignOptions {
   std::uint64_t seed = 2011;
   std::size_t totalTests = 100;
-  /// Executor-pool width W. 1 = serial (bit-identical to runTests).
+  /// Worker threads W. 1 without a watchdog = serial (bit-identical to
+  /// runTests); otherwise W thread workers under the fleet coordinator.
   std::size_t workers = 1;
   /// Campaign directory for journal/manifest/checkpoint; empty = in-memory.
   std::string outDir;
@@ -63,37 +67,31 @@ struct CampaignOptions {
   std::string system = "custom";
   /// Checkpoint refresh cadence, in completed scenarios.
   std::size_t checkpointEvery = 16;
-  /// Per-scenario wall-clock budget; 0 disables the watchdog.
+  /// Per-scenario wall-clock budget; 0 disables the watchdog. A nonzero
+  /// budget runs even a one-worker campaign on the coordinator.
   std::uint64_t scenarioTimeoutMs = 0;
-  /// Watchdog-retired worker slots are revived with a fresh executor after
-  /// a capped-exponential backoff, up to this many times per campaign;
-  /// after that, wedged slots stay retired (and a campaign whose every
-  /// slot is retired still aborts). 0 restores the old poison-forever
-  /// behavior.
-  std::size_t maxWorkerRespawns = 4;
   /// Minimum impact for a scenario to enter vulnerability triage.
   double dedupMinImpact = 0.5;
   core::ControllerOptions controller;
 };
 
 struct CampaignResult {
-  /// Completion-order history (the controller's view).
+  /// Fold-order history (the controller's view).
   std::vector<core::TestRecord> history;
   double maxImpact = 0.0;
   std::size_t executed = 0;
   std::size_t failed = 0;    // executor threw
   std::size_t timedOut = 0;  // watchdog retired the scenario
-  /// True when every worker slot wedged and the campaign gave up early;
-  /// history holds the completed prefix.
+  /// True when every worker slot died or wedged past the respawn budget
+  /// and the campaign gave up early; history holds the completed prefix.
   bool aborted = false;
-  /// Worker slots revived after a crash or wedge (in-process respawns plus
-  /// fleet process respawns).
+  /// Worker slots revived after a crash or wedge.
   std::size_t respawns = 0;
   /// Scenarios re-executed on another worker after their original worker
-  /// died mid-batch (fleet only; outcomes are pure functions of points, so
+  /// died or wedged (outcomes are pure functions of points, so
   /// re-execution is safe).
   std::size_t reassigned = 0;
-  /// Worker process deaths observed by the fleet coordinator.
+  /// Worker deaths (crashes and wedge kills) observed by the coordinator.
   std::size_t workerCrashes = 0;
   /// Deduplicated vulnerability classes (impact >= dedupMinImpact).
   std::vector<VulnClass> classes;
@@ -117,6 +115,15 @@ struct ReplayState {
 ReplayState replayJournal(core::Controller& controller,
                           const std::vector<JournalEvent>& events);
 
+/// Executes one scenario with the campaign's failure isolation. An executor
+/// that throws, or that returns an impact outside [0, 1] (NaN included),
+/// yields a failed scenario with the zero outcome and the reason in
+/// `error`. The serial loop and every fleet worker execute through this, so
+/// no outcome can reach a journal that its own resume would reject.
+/// `bestImpact` is left for the caller that folds the outcome.
+DoneEvent executeChecked(core::ScenarioExecutor& executor, std::uint64_t test,
+                         const core::Point& point);
+
 class CampaignRunner {
  public:
   CampaignRunner(ExecutorFactory factory, CampaignOptions options,
@@ -129,22 +136,27 @@ class CampaignRunner {
   /// Continues the campaign stored in options.outDir: replays the journal
   /// against a fresh controller (no re-execution), re-executes scenarios
   /// that were in flight at the kill, then keeps exploring to the
-  /// manifest's totalTests. The manifest's seed/workers/budget override the
-  /// constructor options. Throws std::runtime_error when the directory is
+  /// manifest's totalTests. The manifest's seed/budget override the
+  /// constructor options. A mode="fleet" directory (any coordinator
+  /// campaign) resumes on the coordinator with thread workers, shards
+  /// included. A mode="process" directory resumes on the serial loop,
+  /// whatever its recorded worker count: an older in-process parallel
+  /// runner wrote those journals in completion order, which only the serial
+  /// loop can continue. Throws std::runtime_error when the directory is
   /// missing, corrupt, or diverges from deterministic replay.
   CampaignResult resume();
 
  private:
-  CampaignResult drive(core::Controller& controller,
-                       std::vector<std::unique_ptr<core::ScenarioExecutor>>&
-                           executors,
-                       JournalWriter* journal,
-                       std::map<std::uint64_t, core::GeneratedScenario>
-                           pendingReplay,
-                       std::uint64_t nextTest, std::size_t replayedFailed,
-                       std::size_t replayedTimedOut);
+  /// Runs (or resumes) this campaign on the fleet coordinator with
+  /// options_.workers thread workers.
+  CampaignResult runOnThreads(bool resuming);
 
-  std::vector<std::unique_ptr<core::ScenarioExecutor>> makeExecutors() const;
+  /// The serial loop.
+  CampaignResult drive(core::Controller& controller,
+                       core::ScenarioExecutor& executor,
+                       JournalWriter* journal, ReplayState replayed);
+
+  std::unique_ptr<core::ScenarioExecutor> makeExecutor() const;
 
   ExecutorFactory factory_;
   CampaignOptions options_;

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -54,6 +55,14 @@ namespace avd::util {
 
   ::close(sv[1]);
   return SpawnedProcess{pid, sv[0]};
+}
+
+[[nodiscard]] std::optional<std::array<int, 2>> socketPair() {
+  std::array<int, 2> fds{};
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds.data()) != 0) {
+    return std::nullopt;
+  }
+  return fds;
 }
 
 bool processExited(pid_t pid) {
@@ -115,11 +124,24 @@ std::string selfExePath() {
   return TcpListener{fd, ntohs(addr.sin_port)};
 }
 
+namespace {
+
+// A fleet frame goes out as two small sends (header, payload), and a worker
+// waits for each assignment. Nagle's algorithm would hold the second send
+// until the peer's delayed ACK, about 40 ms a frame.
+void setNoDelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+}  // namespace
+
 [[nodiscard]] std::optional<int> acceptTcp(int listenFd) {
   for (;;) {
     const int fd = ::accept(listenFd, nullptr, nullptr);
     if (fd >= 0) {
       ::fcntl(fd, F_SETFD, FD_CLOEXEC);
+      setNoDelay(fd);
       return fd;
     }
     if (errno == EINTR) continue;
@@ -139,6 +161,7 @@ std::string selfExePath() {
   }
   for (;;) {
     if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
+      setNoDelay(fd);
       return fd;
     }
     if (errno == EINTR) continue;

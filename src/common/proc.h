@@ -10,6 +10,7 @@
 
 #include <sys/types.h>
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -37,6 +38,10 @@ struct SpawnedProcess {
 
 /// The conventional descriptor number spawnWithSocket hands the child.
 inline constexpr int kChildSocketFd = 3;
+
+/// A connected SOCK_STREAM socketpair, both ends FD_CLOEXEC, for a worker
+/// that runs as a thread of this process. nullopt on failure.
+[[nodiscard]] std::optional<std::array<int, 2>> socketPair();
 
 /// Nonblocking liveness probe: true once the child has exited (and reaps
 /// it). Safe to call repeatedly; after the first true it keeps returning

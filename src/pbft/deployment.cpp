@@ -26,7 +26,11 @@ std::string formatSafetyWitness(const SafetyWitness& witness) {
     char buffer[24];
     std::snprintf(buffer, sizeof(buffer), "%016llx",
                   static_cast<unsigned long long>(digest));
-    out += "r" + std::to_string(replica) + "=" + buffer + "[";
+    out += 'r';
+    out += std::to_string(replica);
+    out += '=';
+    out += buffer;
+    out += '[';
     if (voters.empty()) {
       out += "synced";
     } else {

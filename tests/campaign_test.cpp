@@ -1,6 +1,7 @@
 // Campaign engine tests: serial bit-identity with Controller::runTests,
 // journal round-trips and byte-identical reruns, kill/resume equivalence,
-// worker failure/timeout isolation, and vulnerability dedup.
+// thread-worker campaigns on the fleet coordinator, worker failure/timeout
+// isolation, and vulnerability dedup.
 //
 // The CampaignSmoke suite is deliberately fast and hermetic — CI's lint leg
 // runs it alongside the lint tests as a cheap cross-config sanity check.
@@ -24,6 +25,8 @@
 #include "avd/plugin.h"
 #include "avd/quorum_executor.h"
 #include "campaign/dedup.h"
+#include "campaign/fleet/coordinator.h"
+#include "campaign/fleet/thread_fleet.h"
 #include "campaign/journal.h"
 #include "campaign/runner.h"
 
@@ -77,15 +80,15 @@ class FaultyExecutor final : public core::ScenarioExecutor {
 };
 
 /// Sleeps long enough to trip the campaign watchdog on every execute when
-/// constructed sleepy; instant otherwise.
+/// constructed sleepy. Otherwise it pauses 2 ms, so a healthy worker cannot
+/// finish the whole budget before a wedged one is handed its first
+/// scenario.
 class SleepyExecutor final : public core::ScenarioExecutor {
  public:
   explicit SleepyExecutor(bool sleepy) : sleepy_(sleepy) {}
 
   core::Outcome execute(const core::Point& point) override {
-    if (sleepy_) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1200));
-    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(sleepy_ ? 1200 : 2));
     return inner_.execute(point);
   }
   const core::Hyperspace& space() const noexcept override {
@@ -95,6 +98,26 @@ class SleepyExecutor final : public core::ScenarioExecutor {
  private:
   RidgeExecutor inner_;
   bool sleepy_;
+};
+
+/// Reports an impact outside [0, 1] on a deterministic subset of points:
+/// 1.5 on a third of them, NaN on a sixth.
+class OutOfRangeExecutor final : public core::ScenarioExecutor {
+ public:
+  core::Outcome execute(const core::Point& point) override {
+    core::Outcome outcome = inner_.execute(point);
+    if ((point[0] + point[1]) % 3 == 0) outcome.impact = 1.5;
+    if ((point[0] + point[1]) % 3 == 1 && point[0] % 2 == 0) {
+      outcome.impact = std::nan("");
+    }
+    return outcome;
+  }
+  const core::Hyperspace& space() const noexcept override {
+    return inner_.space();
+  }
+
+ private:
+  RidgeExecutor inner_;
 };
 
 ExecutorFactory ridgeFactory() {
@@ -279,10 +302,104 @@ TEST(CampaignBitIdentity, ParallelCampaignReachesSerialBestImpactOnQuorum) {
       CampaignRunner(quorumFactory(), parallel).run();
 
   EXPECT_EQ(parallelResult.executed, kTests);
-  // Completion order differs, so the explored sequence may differ — but the
-  // same budget on the same landscape must land within epsilon of the same
-  // best impact (the ISSUE acceptance bound).
+  // A window of L = 16 generates further ahead of feedback than the serial
+  // loop, so the explored sequence differs — but the same budget on the
+  // same landscape must land within epsilon of the same best impact.
   EXPECT_NEAR(parallelResult.maxImpact, serialResult.maxImpact, 0.05);
+}
+
+/// Runs a thread-worker fleet with `spawn` workers and window `batch` x
+/// `spawn` into `dir` and returns its journal.
+std::string threadFleetJournal(const ExecutorFactory& factory,
+                               std::uint64_t seed, std::size_t tests,
+                               std::size_t spawn, std::size_t batch,
+                               const std::string& dir) {
+  fleet::ThreadFleet threads;
+  fleet::FleetOptions options;
+  options.campaign.seed = seed;
+  options.campaign.totalTests = tests;
+  options.campaign.outDir = dir;
+  options.spawn = spawn;
+  options.batch = batch;
+  options.launcher = threads.launcher(
+      [factory](const std::string&, std::uint64_t) { return factory(); });
+  fleet::FleetCoordinator coordinator(std::move(options), factory);
+  const CampaignResult result = coordinator.run();
+  EXPECT_EQ(result.executed, tests);
+  return readAll(journalPath(dir));
+}
+
+TEST(CampaignBitIdentity, SerialJournalEqualsTheCoordinatorsAtWindowOne) {
+  // With one worker and batch 1 the coordinator's window is L = 1: generate
+  // one, fold it, generate the next — the serial loop's interleave.
+  constexpr std::uint64_t kSeed = 2011;
+  constexpr std::size_t kTests = 60;
+  const std::string serialDir = scratchDir("window1_serial");
+  CampaignOptions options;
+  options.seed = kSeed;
+  options.totalTests = kTests;
+  options.outDir = serialDir;
+  CampaignRunner(quorumFactory(), options).run();
+
+  const std::string fleetJournal = threadFleetJournal(
+      quorumFactory(), kSeed, kTests, 1, 1, scratchDir("window1_fleet"));
+  EXPECT_EQ(readAll(journalPath(serialDir)), fleetJournal);
+}
+
+// --- thread-worker campaigns --------------------------------------------------
+
+TEST(CampaignThreads, SameSeedRunsWriteTheFleetsJournal) {
+  // workers > 1 runs on the fleet coordinator with thread workers and the
+  // default window L = 4 x 2, so the journal is a pure function of the
+  // seed — and the very journal a two-worker, batch-4 fleet writes.
+  const std::string dirA = scratchDir("threads_a");
+  const std::string dirB = scratchDir("threads_b");
+  for (const std::string& dir : {dirA, dirB}) {
+    CampaignOptions options;
+    options.seed = 17;
+    options.totalTests = 30;
+    options.workers = 2;
+    options.outDir = dir;
+    options.system = "quorum";
+    const CampaignResult result =
+        CampaignRunner(quorumFactory(), options).run();
+    EXPECT_EQ(result.executed, 30u);
+    EXPECT_FALSE(result.aborted);
+  }
+  const std::string journal = readAll(journalPath(dirA));
+  EXPECT_EQ(journal, readAll(journalPath(dirB)));
+  EXPECT_EQ(journal, threadFleetJournal(quorumFactory(), 17, 30, 2, 4,
+                                        scratchDir("threads_fleet")));
+  const auto manifest = loadManifest(dirA);
+  ASSERT_TRUE(manifest.has_value());
+  EXPECT_EQ(manifest->mode, "fleet");
+  EXPECT_EQ(manifest->spawn, 2u);
+}
+
+TEST(CampaignThreads, KilledThreadCampaignResumesToIdenticalJournal) {
+  CampaignOptions options;
+  options.seed = 5;
+  options.totalTests = 60;
+  options.workers = 2;
+  options.checkpointEvery = 8;
+
+  const std::string full = scratchDir("threads_full");
+  options.outDir = full;
+  CampaignRunner(ridgeFactory(), options).run();
+
+  const std::string cut = scratchDir("threads_cut");
+  options.outDir = cut;
+  CampaignRunner(ridgeFactory(), options).run();
+  const std::string journal = readAll(journalPath(cut));
+  writeAll(journalPath(cut), journal.substr(0, cutOffset(journal, 41, 23)));
+
+  CampaignOptions resumeOptions;
+  resumeOptions.outDir = cut;
+  const CampaignResult resumed =
+      CampaignRunner(ridgeFactory(), resumeOptions).resume();
+  EXPECT_EQ(resumed.executed, 60u);
+  EXPECT_EQ(readAll(journalPath(cut)), readAll(journalPath(full)))
+      << "resumed journal must be byte-identical to the uninterrupted run";
 }
 
 // --- journal encode/decode ---------------------------------------------------
@@ -556,6 +673,44 @@ TEST(CampaignCompat, PreTwinsDirectoryKillResumesToIdenticalArtifacts) {
             readAll(fixturePath("pretwins_classes.json")));
 }
 
+TEST(CampaignCompat, PoolDirectoryResumesOnTheSerialLoop) {
+  // tests/fixtures/pool_*: `avd_cli campaign --system quorum --tests 24
+  // --workers 4 --seed 11` from the last build with the in-process thread
+  // pool. Its journal folds outcomes in completion order (done 3 before
+  // done 1), which the coordinator's in-order fold cannot continue; the
+  // serial loop replays any order and finishes the budget.
+  const std::string poolJournal = readAll(fixturePath("pool_journal.jsonl"));
+  ASSERT_LT(poolJournal.find("{\"event\":\"done\",\"test\":3,"),
+            poolJournal.find("{\"event\":\"done\",\"test\":1,"));
+  const std::string cutJournal =
+      poolJournal.substr(0, cutOffset(poolJournal, 30, 11));
+  const std::string dir = scratchDir("pool");
+  writeAll(dir + "/manifest.json", readAll(fixturePath("pool_manifest.json")));
+  writeAll(journalPath(dir), cutJournal);
+
+  CampaignOptions options;
+  options.outDir = dir;
+  options.workers = 4;  // the manifest's mode, not this, picks the driver
+  const CampaignResult result =
+      CampaignRunner(pretwinsQuorumFactory(), options).resume();
+  EXPECT_EQ(result.executed, 24u);
+  EXPECT_FALSE(result.aborted);
+
+  const std::string resumed = readAll(journalPath(dir));
+  const std::size_t kept = cutOffset(poolJournal, 30, 0);
+  EXPECT_EQ(resumed.substr(0, kept), poolJournal.substr(0, kept))
+      << "the whole lines before the cut stay as the pool wrote them";
+  const auto loaded = loadJournal(journalPath(dir));
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->events.size(), 48u);
+
+  // The finished directory replays cleanly and has nothing left to run.
+  const CampaignResult again =
+      CampaignRunner(pretwinsQuorumFactory(), options).resume();
+  EXPECT_EQ(again.executed, 24u);
+  EXPECT_EQ(readAll(journalPath(dir)), resumed);
+}
+
 TEST(CampaignResume, CrashDuringCheckpointRecovers) {
   // A kill -9 inside writeCheckpoint leaves a stale checkpoint .tmp file
   // (the atomic-rename never happened) alongside a torn journal. Resume
@@ -658,10 +813,18 @@ TEST(CampaignIsolation, ThrowingExecutorIsIsolatedInParallelToo) {
   EXPECT_FALSE(result.aborted);
 }
 
+// A watchdog campaign runs on the fleet coordinator with thread workers.
+// Its factory builds the controller's executor first and then one per
+// worker (re)start, in launch order. A wedged scenario is retried on a
+// fresh worker once and folds as timed out on its second wedge
+// (FleetOptions::wedgeKillLimit = 2); the respawn budget is the
+// coordinator's (FleetOptions::maxWorkerRespawns = 8).
+
 TEST(CampaignIsolation, WatchdogRetiresWedgedWorkerAndCampaignFinishes) {
-  // Worker 0's executor wedges on every scenario; worker 1 is healthy. The
-  // watchdog must retire worker 0's first scenario as timed out and let
-  // worker 1 finish the whole budget.
+  // The first worker's executor wedges on every scenario; the other is
+  // healthy. The watchdog must retire the wedged worker and the campaign
+  // must finish its whole budget: the wedged scenario's retry runs on a
+  // healthy worker, so nothing times out.
   std::atomic<int> built{0};
   CampaignOptions options;
   options.seed = 9;
@@ -670,51 +833,53 @@ TEST(CampaignIsolation, WatchdogRetiresWedgedWorkerAndCampaignFinishes) {
   options.scenarioTimeoutMs = 100;
   CampaignRunner runner(
       [&built] {
-        return std::make_unique<SleepyExecutor>(built.fetch_add(1) == 0);
+        return std::make_unique<SleepyExecutor>(built.fetch_add(1) == 1);
       },
       options);
   const CampaignResult result = runner.run();
   EXPECT_EQ(result.executed, 25u);
-  EXPECT_EQ(result.timedOut, 1u);
+  EXPECT_EQ(result.timedOut, 0u);
+  EXPECT_GE(result.workerCrashes, 1u) << "the wedged worker was retired";
   EXPECT_FALSE(result.aborted);
 }
 
 TEST(CampaignIsolation, AllWorkersWedgedAbortsWithPartialResults) {
+  // Every worker wedges. The 10 workers the budget allows (2 + 8 respawns)
+  // wedge twice on each of tests 1-4, which fold as timed out, and once
+  // on tests 5 and 6; then no worker is left and the campaign aborts.
   CampaignOptions options;
   options.seed = 9;
   options.totalTests = 10;
   options.workers = 2;
   options.scenarioTimeoutMs = 80;
-  options.maxWorkerRespawns = 0;  // poison-forever, the pre-respawn behavior
   CampaignRunner runner(
       [] { return std::make_unique<SleepyExecutor>(true); }, options);
   const CampaignResult result = runner.run();
   EXPECT_TRUE(result.aborted);
-  EXPECT_EQ(result.timedOut, 2u) << "one timeout per poisoned worker";
+  EXPECT_EQ(result.timedOut, 4u) << "two wedges per timed-out test";
+  EXPECT_EQ(result.respawns, 8u);
   EXPECT_LT(result.executed, 10u);
 }
 
 TEST(CampaignIsolation, RespawnRevivesAWedgedSlotInsteadOfAborting) {
-  // A single worker whose first executor wedges on every scenario used to
-  // poison the slot permanently and abort the campaign. With a respawn
-  // budget the slot gets a fresh executor (here: an instant one) and the
-  // campaign completes, counting the respawn.
+  // A single worker whose first executor wedges on every scenario. The
+  // slot gets a fresh executor (here: a healthy one) that runs the retried
+  // scenario, and the campaign completes, counting the respawn.
   std::atomic<int> built{0};
   CampaignOptions options;
   options.seed = 9;
   options.totalTests = 15;
   options.workers = 1;
   options.scenarioTimeoutMs = 100;
-  options.maxWorkerRespawns = 4;
   CampaignRunner runner(
       [&built] {
-        return std::make_unique<SleepyExecutor>(built.fetch_add(1) == 0);
+        return std::make_unique<SleepyExecutor>(built.fetch_add(1) == 1);
       },
       options);
   const CampaignResult result = runner.run();
   EXPECT_FALSE(result.aborted);
   EXPECT_EQ(result.executed, 15u);
-  EXPECT_EQ(result.timedOut, 1u);
+  EXPECT_EQ(result.timedOut, 0u) << "the retry ran on the fresh executor";
   EXPECT_GE(result.respawns, 1u);
 }
 
@@ -726,13 +891,45 @@ TEST(CampaignIsolation, RespawnBudgetExhaustionStillAborts) {
   options.totalTests = 10;
   options.workers = 1;
   options.scenarioTimeoutMs = 80;
-  options.maxWorkerRespawns = 2;
   CampaignRunner runner(
       [] { return std::make_unique<SleepyExecutor>(true); }, options);
   const CampaignResult result = runner.run();
   EXPECT_TRUE(result.aborted);
-  EXPECT_EQ(result.respawns, 2u) << "the whole budget was spent trying";
+  EXPECT_EQ(result.respawns, 8u) << "the whole budget was spent trying";
   EXPECT_LT(result.executed, 10u);
+}
+
+TEST(CampaignIsolation, OutOfRangeImpactIsAFailedScenarioAndTheJournalResumes) {
+  // An impact outside [0, 1] would become µ and then a journal line that
+  // resume rejects as corrupt. It is a failed scenario instead.
+  const std::string dir = scratchDir("out_of_range");
+  CampaignOptions options;
+  options.seed = 3;
+  options.totalTests = 40;
+  options.outDir = dir;
+  const ExecutorFactory factory = [] {
+    return std::make_unique<OutOfRangeExecutor>();
+  };
+  const CampaignResult result = CampaignRunner(factory, options).run();
+  EXPECT_EQ(result.executed, 40u);
+  EXPECT_GT(result.failed, 0u);
+  EXPECT_LE(result.maxImpact, 1.0);
+  for (const core::TestRecord& record : result.history) {
+    EXPECT_TRUE(record.outcome.impact >= 0.0 && record.outcome.impact <= 1.0);
+  }
+  const std::string journal = readAll(journalPath(dir));
+  EXPECT_NE(journal.find("executor returned impact 1.5 outside [0, 1]"),
+            std::string::npos);
+  EXPECT_NE(journal.find("executor returned impact nan outside [0, 1]"),
+            std::string::npos);
+
+  writeAll(journalPath(dir), journal.substr(0, cutOffset(journal, 41, 23)));
+  CampaignOptions resumeOptions;
+  resumeOptions.outDir = dir;
+  const CampaignResult resumed =
+      CampaignRunner(factory, resumeOptions).resume();
+  EXPECT_EQ(resumed.executed, 40u);
+  EXPECT_EQ(readAll(journalPath(dir)), journal);
 }
 
 // --- vulnerability dedup -----------------------------------------------------

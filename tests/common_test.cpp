@@ -12,7 +12,6 @@
 #include "common/levenshtein.h"
 #include "common/rng.h"
 #include "common/stats.h"
-#include "common/thread_pool.h"
 
 namespace avd::util {
 namespace {
@@ -285,23 +284,6 @@ TEST(SampleSet, EmptyIsZero) {
   const SampleSet samples;
   EXPECT_DOUBLE_EQ(samples.percentile(50), 0.0);
   EXPECT_DOUBLE_EQ(samples.mean(), 0.0);
-}
-
-// --- ThreadPool ----------------------------------------------------------------
-
-TEST(ThreadPool, ExecutesAllSubmittedTasks) {
-  ThreadPool pool(4);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.submit([i] { return i * i; }));
-  }
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(futures[i].get(), i * i);
-}
-
-TEST(ThreadPool, PropagatesExceptions) {
-  ThreadPool pool(2);
-  auto future = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
 }
 
 }  // namespace

@@ -3,10 +3,10 @@
 // shard append), coordinator kill + resume, wedge containment, graceful
 // drain, and the remote TCP path.
 //
-// Workers run as threads over socketpairs (Launcher with pid = -1), which
-// keeps the tests hermetic and lets crash hooks share state with the test
-// body; the avd_cli binary exercises the real fork+exec path and CI's
-// release leg kills real processes.
+// Workers run as threads over socketpairs (ThreadFleet, the launcher
+// CampaignRunner uses), which keeps the tests hermetic and lets crash hooks
+// share state with the test body; the avd_cli binary exercises the real
+// fork+exec path and CI's release leg kills real processes.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -20,7 +20,6 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -32,6 +31,7 @@
 #include "campaign/fleet/coordinator.h"
 #include "campaign/fleet/protocol.h"
 #include "campaign/fleet/shard.h"
+#include "campaign/fleet/thread_fleet.h"
 #include "campaign/fleet/worker.h"
 #include "campaign/journal.h"
 #include "campaign/runner.h"
@@ -113,39 +113,6 @@ std::size_t cutOffset(const std::string& journal, std::size_t lines,
   }
   return std::min(journal.size(), at + extra);
 }
-
-/// Runs workers as threads over socketpairs. pid = -1 tells the
-/// coordinator failure detection to rely on EOF and heartbeats; its "kill"
-/// degrades to closing the coordinator-side fd, after which the worker
-/// thread sees EOF (or a send failure) and returns, so join() terminates.
-class ThreadFleet {
- public:
-  ~ThreadFleet() {
-    for (std::thread& thread : threads_) thread.join();
-  }
-
-  Launcher launcher(WorkerExecutorFactory factory, WorkerHooks hooks = {}) {
-    return [this, factory, hooks](std::size_t) {
-      return launchOne(factory, hooks);
-    };
-  }
-
-  std::optional<util::SpawnedProcess> launchOne(WorkerExecutorFactory factory,
-                                                WorkerHooks hooks = {}) {
-    int fds[2];
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) return std::nullopt;
-    const int workerFd = fds[1];
-    const std::lock_guard<std::mutex> hold(mutex_);
-    threads_.emplace_back([workerFd, factory, hooks] {
-      (void)runWorker(workerFd, factory, hooks);
-    });
-    return util::SpawnedProcess{-1, fds[0]};
-  }
-
- private:
-  std::mutex mutex_;
-  std::vector<std::thread> threads_;
-};
 
 FleetOptions ridgeFleetOptions(std::uint64_t seed, std::size_t tests,
                                std::size_t spawn, const std::string& dir) {
@@ -458,6 +425,36 @@ TEST(FleetProtocol, GarbageIsUnknown) {
       << "assign without test/point is a protocol violation, not a default";
 }
 
+// --- worker ------------------------------------------------------------------
+
+TEST(FleetWorker, ShutdownFrameEndsTheWorkerWithoutWaitingOutAHeartbeat) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  int code = -1;
+  std::thread worker(
+      [&code, fd = fds[1]] { code = runWorker(fd, ridgeWorkerFactory()); });
+
+  // No ASSERT until the join: the worker thread must not outlive the test.
+  const auto hello = util::readFrame(fds[0]);
+  EXPECT_TRUE(hello && kindOf(*hello) == MessageKind::kHello);
+  Welcome welcome;
+  welcome.system = "ridge";
+  welcome.heartbeatMs = 5000;
+  EXPECT_TRUE(util::writeFrame(fds[0], encodeWelcome(welcome)));
+  // The first beat goes out at once; the next one is 5 s away.
+  const auto beat = util::readFrame(fds[0]);
+  EXPECT_TRUE(beat && kindOf(*beat) == MessageKind::kHeartbeat);
+
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(util::writeFrame(fds[0], encodeShutdown()));
+  worker.join();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ::close(fds[0]);
+  EXPECT_EQ(code, kWorkerExitClean);
+  EXPECT_LT(elapsed, std::chrono::seconds(1))
+      << "the heartbeat thread must wake on exit, not sleep out its beat";
+}
+
 // --- shard merge -------------------------------------------------------------
 
 std::string doneLine(std::uint64_t test, double impact) {
@@ -633,6 +630,42 @@ TEST(FleetChaos, RepeatedCrashesExhaustTheRespawnBudgetAndAbort) {
   EXPECT_EQ(result.respawns, 2u);
   EXPECT_GE(result.workerCrashes, 3u) << "initial launch + two respawns";
   EXPECT_LT(result.executed, 48u);
+}
+
+TEST(FleetChaos, OutOfRangeImpactIsAFailedScenarioNotADeadWorker) {
+  // An impact outside [0, 1] would fail the coordinator's decode of the
+  // outcome frame, kill the worker and reassign the point until the
+  // respawn budget is gone. The worker reports a failed scenario instead.
+  class OutOfRange final : public core::ScenarioExecutor {
+   public:
+    core::Outcome execute(const core::Point& point) override {
+      core::Outcome outcome = inner_.execute(point);
+      if ((point[0] + point[1]) % 3 == 0) outcome.impact = 1.5;
+      return outcome;
+    }
+    const core::Hyperspace& space() const noexcept override {
+      return inner_.space();
+    }
+
+   private:
+    RidgeExecutor inner_;
+  };
+  const std::string dir = scratchDir("out_of_range");
+  ThreadFleet fleet;
+  FleetOptions options = ridgeFleetOptions(11, 40, 2, dir);
+  options.launcher = fleet.launcher([](const std::string&, std::uint64_t) {
+    return std::make_unique<OutOfRange>();
+  });
+  FleetCoordinator coordinator(std::move(options), ridgeFactory());
+  const CampaignResult result = coordinator.run();
+  EXPECT_EQ(result.executed, 40u);
+  EXPECT_FALSE(result.aborted);
+  EXPECT_EQ(result.workerCrashes, 0u);
+  EXPECT_GT(result.failed, 0u);
+  EXPECT_LE(result.maxImpact, 1.0);
+  EXPECT_NE(readAll(journalPath(dir))
+                .find("executor returned impact 1.5 outside [0, 1]"),
+            std::string::npos);
 }
 
 // --- coordinator kill + resume -----------------------------------------------

@@ -16,10 +16,12 @@
 //   avd_cli campaign [--system SYS] [--tests N] [--seed S]
 //                    [--workers W] [--out DIR] [--resume DIR]
 //                    [--checkpoint-every N] [--timeout-ms MS] [--min-impact X]
-//       Run AVD exploration as a resumable, parallel campaign: W executor
-//       workers, an append-only journal + checkpoint in DIR, and a
-//       deduplicated vulnerability-class report at the end. `--resume DIR`
-//       continues a killed campaign exactly where its journal stops.
+//       Run AVD exploration as a resumable, parallel campaign: W worker
+//       threads, an append-only journal + checkpoint in DIR, and a
+//       deduplicated vulnerability-class report at the end. W = 1 without
+//       --timeout-ms is the serial loop; anything else runs on the fleet
+//       coordinator with thread workers. `--resume DIR` continues a killed
+//       campaign exactly where its journal stops.
 //
 //   avd_cli fleet [--system SYS] [--tests N] [--seed S]
 //                 [--spawn W] [--remote R] [--batch B] [--out DIR]

@@ -308,8 +308,9 @@ void ruleUnorderedIter(Ctx& ctx, const std::set<std::string>& unordered) {
 // ---------------------------------------------------------------------------
 // R6 `detached-thread` — a detached thread outlives every join point, so
 // campaign shutdown, sanitizer reports, and test teardown race against it.
-// Every thread in this repo must be owned by something that joins it
-// (common/thread_pool or std::jthread); `.detach()` is banned repo-wide.
+// Every thread in this repo must be owned by something that joins it (a
+// joining destructor, as in campaign/fleet/thread_fleet, or std::jthread);
+// `.detach()` is banned repo-wide.
 
 void ruleDetachedThread(Ctx& ctx) {
   const auto& toks = ctx.toks;
@@ -319,9 +320,10 @@ void ruleDetachedThread(Ctx& ctx) {
     if (prev != "." && prev != "->") continue;
     if (text(toks, i + 1) != "(") continue;
     ctx.report(i, "detached-thread",
-               "thread detach() abandons the join point; own the thread via "
-               "common/thread_pool or std::jthread so shutdown can wait "
-               "for it");
+               "thread detach() abandons the join point; own the thread by "
+               "something that joins it (a joining destructor, as in "
+               "campaign/fleet/thread_fleet, or std::jthread) so shutdown "
+               "can wait for it");
   }
 }
 
@@ -555,7 +557,10 @@ void ruleQuorumConsistency(const ProtocolModel& model,
 
   const auto formula = [](int a, int b) {
     std::string s = a == 1 ? "f" : std::to_string(a) + "f";
-    if (b != 0) s += "+" + std::to_string(b);
+    if (b != 0) {
+      s += '+';
+      s += std::to_string(b);
+    }
     return s;
   };
 
