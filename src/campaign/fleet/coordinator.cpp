@@ -4,16 +4,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
-#include <set>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "avd/plugin.h"
-#include "campaign/dedup.h"
 #include "campaign/fleet/protocol.h"
 #include "campaign/fleet/shard.h"
+#include "campaign/ledger.h"
 #include "common/framing.h"
 
 namespace avd::campaign::fleet {
@@ -28,6 +25,9 @@ using WatchClock = std::chrono::steady_clock;
 
 constexpr WatchClock::time_point kNever{};
 
+/// Ceiling of the capped-exponential respawn backoff.
+constexpr std::uint64_t kRespawnBackoffCapMs = 1000;
+
 struct Slot {
   enum class Phase { kVacant, kConnecting, kActive, kBackoff, kRetired };
   Phase phase = Phase::kVacant;
@@ -35,7 +35,6 @@ struct Slot {
   pid_t pid = -1;
   int fd = -1;
   util::FrameReader reader;
-  std::uint64_t incarnation = 0;        // valid while kActive
   WatchClock::time_point lastHeard{};   // any frame
   WatchClock::time_point respawnAt{};   // kBackoff: when to relaunch
   WatchClock::time_point wedgeAt{};     // kActive: current scenario deadline
@@ -57,9 +56,6 @@ FleetCoordinator::FleetCoordinator(FleetOptions options,
   }
   if (options_.batch == 0) options_.batch = 1;
   if (options_.heartbeatMs == 0) options_.heartbeatMs = 200;
-  if (options_.campaign.checkpointEvery == 0) {
-    options_.campaign.checkpointEvery = 16;
-  }
   if (options_.remoteSlots > 0) {
     listener_ = util::listenTcp(options_.bindPort, options_.bindAddr);
     if (!listener_) {
@@ -78,120 +74,49 @@ std::uint16_t FleetCoordinator::listenPort() const {
 }
 
 CampaignResult FleetCoordinator::run() {
-  auto probe = factory_();
-  if (!probe) throw std::runtime_error("fleet: executor factory returned null");
-  const core::Hyperspace& space = probe->space();
-  std::vector<core::PluginPtr> plugins =
-      plugins_ ? plugins_(space) : core::defaultPlugins(space);
-  core::Controller controller(*probe, std::move(plugins),
-                              options_.campaign.controller,
-                              options_.campaign.seed);
-
-  JournalWriter journal;
-  JournalWriter* journalPtr = nullptr;
+  Manifest manifest;
+  manifest.workers = options_.spawn + options_.remoteSlots;
+  manifest.mode = "fleet";
+  manifest.batch = options_.batch;
+  manifest.spawn = options_.spawn;
+  manifest.heartbeatMs = options_.heartbeatMs;
+  Ledger ledger =
+      Ledger::fresh(factory_, plugins_, options_.campaign, manifest);
+  // A fresh campaign truncates the journal, so shards from whatever
+  // campaign previously lived here are stale history that a later
+  // --resume would wrongly merge. Remove them now.
   if (!options_.campaign.outDir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(options_.campaign.outDir, ec);
-    Manifest manifest;
-    manifest.system = options_.campaign.system;
-    manifest.seed = options_.campaign.seed;
-    manifest.totalTests = options_.campaign.totalTests;
-    manifest.workers = options_.spawn + options_.remoteSlots;
-    manifest.checkpointEvery = options_.campaign.checkpointEvery;
-    manifest.scenarioTimeoutMs = options_.campaign.scenarioTimeoutMs;
-    manifest.mode = "fleet";
-    manifest.batch = options_.batch;
-    manifest.spawn = options_.spawn;
-    manifest.heartbeatMs = options_.heartbeatMs;
-    if (!writeManifest(options_.campaign.outDir, manifest) ||
-        !journal.openFresh(journalPath(options_.campaign.outDir))) {
-      throw std::runtime_error("fleet: cannot write to '" +
-                               options_.campaign.outDir + "'");
-    }
-    journalPtr = &journal;
-    // A fresh campaign truncates the journal, so shards from whatever
-    // campaign previously lived here are stale history that a later
-    // --resume would wrongly merge. Remove them now.
     removeShards(options_.campaign.outDir);
   }
-  return drive(controller, space, journalPtr, ReplayState{}, {}, {},
-               Checkpoint{});
+  return drive(ledger, {});
 }
 
 CampaignResult FleetCoordinator::resume() {
-  const std::string dir = options_.campaign.outDir;
-  if (dir.empty()) throw std::runtime_error("fleet: resume requires outDir");
-  const auto manifest = loadManifest(dir);
-  if (!manifest) {
-    throw std::runtime_error("fleet: missing/corrupt manifest in '" + dir +
-                             "'");
-  }
-  if (manifest->mode != "fleet") {
+  Ledger ledger = Ledger::resume(factory_, plugins_, options_.campaign);
+  const Manifest& manifest = ledger.manifest();
+  const std::string& dir = ledger.options().outDir;
+  if (manifest.mode != "fleet") {
     throw std::runtime_error(
         "fleet: '" + dir + "' holds a single-process campaign; resume it "
         "with `avd_cli campaign --resume`");
   }
-  // The manifest is authoritative for everything that shapes the journal's
-  // deterministic interleave: seed, budget, and the generation window
-  // L = batch * workers. The spawn/remote split merely re-creates the
-  // original fleet shape.
-  options_.campaign.seed = manifest->seed;
-  options_.campaign.totalTests =
-      static_cast<std::size_t>(manifest->totalTests);
-  options_.campaign.checkpointEvery = std::max<std::size_t>(
-      1, static_cast<std::size_t>(manifest->checkpointEvery));
-  options_.campaign.scenarioTimeoutMs = manifest->scenarioTimeoutMs;
-  options_.campaign.system = manifest->system;
+  // The manifest's fleet shape re-creates the window L = batch * workers.
   options_.batch =
-      std::max<std::size_t>(1, static_cast<std::size_t>(manifest->batch));
-  options_.heartbeatMs = manifest->heartbeatMs ? manifest->heartbeatMs : 200;
+      std::max<std::size_t>(1, static_cast<std::size_t>(manifest.batch));
+  options_.heartbeatMs = manifest.heartbeatMs ? manifest.heartbeatMs : 200;
   options_.spawn = static_cast<std::size_t>(
-      std::min<std::uint64_t>(manifest->spawn, manifest->workers));
+      std::min<std::uint64_t>(manifest.spawn, manifest.workers));
   options_.remoteSlots =
-      static_cast<std::size_t>(manifest->workers) - options_.spawn;
+      static_cast<std::size_t>(manifest.workers) - options_.spawn;
   if (options_.remoteSlots > 0 && !listener_) {
     listener_ = util::listenTcp(options_.bindPort, options_.bindAddr);
   }
-
-  const auto loaded = loadJournal(journalPath(dir));
-  if (!loaded) {
-    throw std::runtime_error("fleet: corrupt journal in '" + dir + "'");
-  }
-
-  auto probe = factory_();
-  if (!probe) throw std::runtime_error("fleet: executor factory returned null");
-  const core::Hyperspace& space = probe->space();
-  std::vector<core::PluginPtr> plugins =
-      plugins_ ? plugins_(space) : core::defaultPlugins(space);
-  core::Controller controller(*probe, std::move(plugins),
-                              options_.campaign.controller,
-                              options_.campaign.seed);
-
-  ReplayState replayed = replayJournal(controller, loaded->events);
-
-  // Shards recover every outcome a worker completed that the coordinator's
-  // journal never folded (coordinator killed, or its tail torn): re-fold
-  // instead of re-execute. The whole merge goes to drive() — outcomes for
-  // tests beyond the journal cut are matched up when the deterministic
-  // generator re-reaches their test number.
-  MergedShards merged = mergeShards(dir);
-
-  JournalWriter journal;
-  if (!journal.openResume(journalPath(dir), loaded->validBytes)) {
-    throw std::runtime_error("fleet: cannot reopen journal in '" + dir + "'");
-  }
-  const Checkpoint carried = loadCheckpoint(dir).value_or(Checkpoint{});
-  return drive(controller, space, &journal, std::move(replayed),
-               std::move(merged.outcomes), std::move(merged.nextIncarnation),
-               carried);
+  // Shards hold every outcome a worker completed that the journal lost
+  // (coordinator killed, or its tail torn): re-fold, do not re-execute.
+  return drive(ledger, mergeShards(dir));
 }
 
-CampaignResult FleetCoordinator::drive(
-    core::Controller& controller, const core::Hyperspace& space,
-    JournalWriter* journal, ReplayState replayed,
-    std::map<std::uint64_t, DoneEvent> preFolded,
-    std::map<std::uint64_t, std::uint64_t> nextIncarnation,
-    Checkpoint carried) {
+CampaignResult FleetCoordinator::drive(Ledger& ledger, MergedShards shards) {
   // A remote slot with no listener can never fill. resume() re-binds for
   // the manifest's remote slots; if that bind failed, fail as loudly as
   // the constructor does.
@@ -199,18 +124,10 @@ CampaignResult FleetCoordinator::drive(
     throw std::runtime_error("fleet: cannot bind TCP listener on " +
                              options_.bindAddr);
   }
-  CampaignResult result;
-  result.failed = replayed.replayedFailed;
-  result.timedOut = replayed.replayedTimedOut;
-  result.respawns = static_cast<std::size_t>(carried.respawns);
-  result.reassigned = static_cast<std::size_t>(carried.reassigned);
-  result.workerCrashes = static_cast<std::size_t>(carried.workerCrashes);
+  const CampaignOptions& campaign = ledger.options();
+  CampaignResult& result = ledger.result();
 
   const std::size_t totalSlots = options_.spawn + options_.remoteSlots;
-  const std::uint64_t window =
-      static_cast<std::uint64_t>(options_.batch) * totalSlots;
-  const std::uint64_t total = options_.campaign.totalTests;
-  const std::uint64_t scenarioTimeoutMs = options_.campaign.scenarioTimeoutMs;
   const auto heartbeatDeadline = std::chrono::milliseconds(
       options_.heartbeatMs * std::max<std::uint64_t>(1,
                                                      options_.heartbeatMissFactor));
@@ -218,29 +135,6 @@ CampaignResult FleetCoordinator::drive(
       options_.spawnGraceMs,
       options_.heartbeatMs * options_.heartbeatMissFactor));
 
-  std::uint64_t nextTest = replayed.nextTest;
-  std::uint64_t foldedThrough = controller.executedTests();
-  std::map<std::uint64_t, core::GeneratedScenario> pendingScenarios =
-      std::move(replayed.pending);
-  // Shard-recovered outcomes satisfy their test the moment it exists:
-  // replayed pending tests right now, journal-lost tests when topUp
-  // re-reaches their number (generation is deterministic, outcomes are
-  // pure functions of points — the shard line is the same bytes a live
-  // worker would have framed).
-  std::map<std::uint64_t, DoneEvent> shardRecovered = std::move(preFolded);
-  shardRecovered.erase(shardRecovered.begin(),
-                       shardRecovered.upper_bound(foldedThrough));
-  std::map<std::uint64_t, DoneEvent> completedBuffer;
-  std::set<std::uint64_t> unassigned;
-  for (const auto& [test, scenario] : pendingScenarios) {
-    const auto it = shardRecovered.find(test);
-    if (it != shardRecovered.end()) {
-      completedBuffer.emplace(test, std::move(it->second));
-      shardRecovered.erase(it);
-    } else {
-      unassigned.insert(test);
-    }
-  }
   std::map<std::uint64_t, std::size_t> wedgeKills;
   std::size_t respawnsUsed = 0;
   bool draining = false;
@@ -264,81 +158,6 @@ CampaignResult FleetCoordinator::drive(
     }
   } teardown{&slots};
 
-  const auto appendLine = [&](const std::string& line) {
-    if (journal == nullptr) return;
-    if (!journal->append(line)) {
-      throw std::runtime_error("fleet: journal append failed (disk full?)");
-    }
-  };
-
-  const auto maybeCheckpoint = [&](bool force) {
-    if (options_.campaign.outDir.empty()) return;
-    if (!force && foldedThrough % options_.campaign.checkpointEvery != 0) {
-      return;
-    }
-    // Journal bytes reach disk before the checkpoint that summarizes them.
-    if (journal != nullptr) journal->sync();
-    Checkpoint checkpoint;
-    checkpoint.generated = nextTest - 1;
-    checkpoint.completed = foldedThrough;
-    checkpoint.maxImpact = controller.maxImpact();
-    checkpoint.respawns = result.respawns;
-    checkpoint.reassigned = result.reassigned;
-    checkpoint.workerCrashes = result.workerCrashes;
-    writeCheckpoint(options_.campaign.outDir, checkpoint);
-  };
-
-  // The determinism engine. Gen: top up greedily while fewer than `window`
-  // scenarios are generated-but-unfolded. Fold: strictly in test order.
-  // Together these make the journal's gen/done interleave a pure function
-  // of (seed, window, total) — independent of worker timing, crashes, and
-  // reassignment — so any kill point leaves a canonical prefix that resume
-  // extends byte-identically.
-  const auto topUp = [&] {
-    while (nextTest <= total && (nextTest - 1) - foldedThrough < window) {
-      core::GeneratedScenario scenario = controller.acquireScenario();
-      GenEvent event;
-      event.test = nextTest;
-      event.point = scenario.point;
-      event.generatedBy = scenario.generatedBy;
-      event.parentImpact = scenario.parentImpact;
-      event.pluginIndex = static_cast<std::int64_t>(scenario.pluginIndex);
-      appendLine(encodeGen(event));
-      pendingScenarios.emplace(nextTest, std::move(scenario));
-      const auto recovered = shardRecovered.find(nextTest);
-      if (recovered != shardRecovered.end()) {
-        completedBuffer.emplace(nextTest, std::move(recovered->second));
-        shardRecovered.erase(recovered);
-      } else {
-        unassigned.insert(nextTest);
-      }
-      ++nextTest;
-    }
-  };
-
-  const auto foldReady = [&] {
-    for (;;) {
-      const auto it = completedBuffer.find(foldedThrough + 1);
-      if (it == completedBuffer.end()) break;
-      DoneEvent done = std::move(it->second);
-      completedBuffer.erase(it);
-      const auto scenIt = pendingScenarios.find(done.test);
-      if (scenIt == pendingScenarios.end()) {
-        throw std::runtime_error(
-            "fleet: outcome for a scenario that was never generated");
-      }
-      controller.reportOutcome(std::move(scenIt->second), done.outcome);
-      pendingScenarios.erase(scenIt);
-      done.bestImpact = controller.maxImpact();
-      appendLine(encodeDone(done));
-      ++foldedThrough;
-      result.failed += done.failed ? 1 : 0;
-      result.timedOut += done.timedOut ? 1 : 0;
-      maybeCheckpoint(false);
-      topUp();
-    }
-  };
-
   const auto closeSlotConn = [&](Slot& slot) {
     if (slot.fd >= 0) {
       util::closeFd(slot.fd);
@@ -352,13 +171,20 @@ CampaignResult FleetCoordinator::drive(
     }
   };
 
-  const auto nextBackoff = [&](Slot& slot) {
+  // A local slot that died or failed to launch waits out a capped
+  // exponential backoff while the respawn budget lasts, and retires after.
+  const auto backOffOrRetire = [&](Slot& slot, WatchClock::time_point now) {
+    if (respawnsUsed >= options_.maxWorkerRespawns || !options_.launcher) {
+      slot.phase = Slot::Phase::kRetired;
+      return;
+    }
+    ++respawnsUsed;
     slot.backoffMs = slot.backoffMs == 0
                          ? std::max<std::uint64_t>(1,
                                                    options_.respawnBackoffBaseMs)
-                         : std::min(slot.backoffMs * 2,
-                                    std::max<std::uint64_t>(
-                                        1, options_.respawnBackoffCapMs));
+                         : std::min(slot.backoffMs * 2, kRespawnBackoffCapMs);
+    slot.phase = Slot::Phase::kBackoff;
+    slot.respawnAt = now + std::chrono::milliseconds(slot.backoffMs);
   };
 
   const auto handleDeath = [&](std::size_t index, bool wedged,
@@ -367,7 +193,7 @@ CampaignResult FleetCoordinator::drive(
     ++result.workerCrashes;
     closeSlotConn(slot);
     const std::uint64_t test = slot.assigned;
-    if (test != 0 && test > foldedThrough && !completedBuffer.contains(test)) {
+    if (test != 0 && ledger.awaits(test)) {
       if (wedged && ++wedgeKills[test] >= options_.wedgeKillLimit) {
         // This point wedged multiple fresh workers; stop feeding it
         // workers and fold a timed-out zero outcome.
@@ -375,23 +201,15 @@ CampaignResult FleetCoordinator::drive(
         done.test = test;
         done.timedOut = true;
         done.error = "scenario exceeded fleet wedge budget";
-        completedBuffer.emplace(test, std::move(done));
+        ledger.report(std::move(done));
       } else {
-        unassigned.insert(test);
-        ++result.reassigned;
+        ++result.reassigned;  // unassigned now, so another worker takes it
       }
     }
     slot.assigned = 0;
     slot.wedgeAt = kNever;
     if (slot.spawnedKind) {
-      if (respawnsUsed < options_.maxWorkerRespawns && options_.launcher) {
-        ++respawnsUsed;
-        nextBackoff(slot);
-        slot.phase = Slot::Phase::kBackoff;
-        slot.respawnAt = now + std::chrono::milliseconds(slot.backoffMs);
-      } else {
-        slot.phase = Slot::Phase::kRetired;
-      }
+      backOffOrRetire(slot, now);
     } else {
       // A remote slot just becomes vacant again; the next TCP worker to
       // connect takes it (no budget — remote workers are externally run).
@@ -408,14 +226,7 @@ CampaignResult FleetCoordinator::drive(
     }
     const auto child = options_.launcher(index);
     if (!child) {
-      if (respawnsUsed < options_.maxWorkerRespawns) {
-        ++respawnsUsed;
-        nextBackoff(slot);
-        slot.phase = Slot::Phase::kBackoff;
-        slot.respawnAt = now + std::chrono::milliseconds(slot.backoffMs);
-      } else {
-        slot.phase = Slot::Phase::kRetired;
-      }
+      backOffOrRetire(slot, now);
       return;
     }
     slot.pid = child->pid;
@@ -428,13 +239,12 @@ CampaignResult FleetCoordinator::drive(
 
   const auto activate = [&](std::size_t index, WatchClock::time_point now) {
     Slot& slot = slots[index];
-    slot.incarnation = nextIncarnation[index]++;
     Welcome welcome;
     welcome.slot = index;
-    welcome.incarnation = slot.incarnation;
-    welcome.system = options_.campaign.system;
-    welcome.seed = options_.campaign.seed;
-    welcome.outDir = options_.campaign.outDir;
+    welcome.incarnation = shards.nextIncarnation[index]++;
+    welcome.system = campaign.system;
+    welcome.seed = campaign.seed;
+    welcome.outDir = campaign.outDir;
     welcome.heartbeatMs = options_.heartbeatMs;
     if (!util::writeFrame(slot.fd, encodeWelcome(welcome))) {
       handleDeath(index, false, now);
@@ -465,11 +275,7 @@ CampaignResult FleetCoordinator::drive(
           slot.wedgeAt = kNever;
         }
         slot.backoffMs = 0;  // a delivered outcome resets the backoff ladder
-        if (test > foldedThrough && !completedBuffer.contains(test) &&
-            pendingScenarios.contains(test)) {
-          completedBuffer.emplace(test, event->done);
-          unassigned.erase(test);
-        }
+        ledger.report(event->done);
         return true;
       }
       default:
@@ -477,25 +283,38 @@ CampaignResult FleetCoordinator::drive(
     }
   };
 
+  // The lowest test that awaits its outcome and no worker holds.
+  const auto unassigned = [&] {
+    std::uint64_t test = ledger.nextAwaiting();
+    while (test != 0 &&
+           std::any_of(slots.begin(), slots.end(), [test](const Slot& slot) {
+             return slot.assigned == test;
+           })) {
+      test = ledger.nextAwaiting(test);
+    }
+    return test;
+  };
+
   // One scenario per worker at a time: a queue behind a busy worker would
   // only idle the others at the in-order fold.
   const auto assignWork = [&](WatchClock::time_point now) {
     if (draining) return;
-    for (std::size_t s = 0; s < slots.size() && !unassigned.empty(); ++s) {
+    for (std::size_t s = 0; s < slots.size(); ++s) {
       Slot& slot = slots[s];
       if (slot.phase != Slot::Phase::kActive || slot.assigned != 0) continue;
-      const std::uint64_t test = *unassigned.begin();
+      const std::uint64_t test = unassigned();
+      if (test == 0) break;
       Assign assign;
       assign.test = test;
-      assign.point = pendingScenarios.at(test).point;
+      assign.point = ledger.point(test);
       if (!util::writeFrame(slot.fd, encodeAssign(assign))) {
         handleDeath(s, false, now);
         continue;
       }
-      unassigned.erase(unassigned.begin());
       slot.assigned = test;
-      if (scenarioTimeoutMs > 0) {
-        slot.wedgeAt = now + std::chrono::milliseconds(scenarioTimeoutMs);
+      if (campaign.scenarioTimeoutMs > 0) {
+        slot.wedgeAt =
+            now + std::chrono::milliseconds(campaign.scenarioTimeoutMs);
       }
     }
   };
@@ -523,16 +342,12 @@ CampaignResult FleetCoordinator::drive(
   for (std::size_t s = 0; s < options_.spawn; ++s) {
     launchSlot(s, startAt, false);
   }
-  // Order matters on resume: a torn journal can owe gen lines at the
-  // replayed fold point (the canonical interleave puts gen(k+window) right
-  // after done(k)), so the window must be topped up BEFORE the first
-  // shard-recovered outcome folds and appends its done line.
-  topUp();
-  foldReady();  // resume: fold the shard-recovered contiguous prefix
+  // The window: batch scenarios per slot, so a free worker never waits
+  // behind the in-order fold for work.
+  ledger.start(static_cast<std::uint64_t>(options_.batch) * totalSlots,
+               std::move(shards.outcomes));
 
-  for (;;) {
-    foldReady();
-    if (foldedThrough >= total) break;
+  while (!ledger.finished()) {
     if (options_.drainFlag != nullptr &&
         options_.drainFlag->load(std::memory_order_relaxed)) {
       draining = true;
@@ -687,14 +502,7 @@ CampaignResult FleetCoordinator::drive(
       slot.pid = -1;
     }
   }
-
-  result.history = controller.history();
-  result.executed = result.history.size();
-  result.maxImpact = controller.maxImpact();
-  result.classes = dedupVulnerabilities(space, result.history,
-                                        options_.campaign.dedupMinImpact);
-  maybeCheckpoint(true);
-  return result;
+  return ledger.finish();
 }
 
 }  // namespace avd::campaign::fleet

@@ -1,48 +1,46 @@
 // Fleet coordinator: the campaign scheduler for every parallel or
-// watchdog campaign. It owns the Controller and the campaign journal and
-// farms scenario execution out to workers: fork+exec'd processes
+// watchdog campaign. It keeps its books on a campaign::Ledger (controller,
+// journal, fold, checkpoint, resume; campaign/ledger.h) and only schedules:
+// it farms scenario execution out to workers — fork+exec'd processes
 // (`avd_cli fleet`), threads of this process (CampaignRunner, via
-// fleet/thread_fleet.h), or workers connecting over TCP.
+// fleet/thread_fleet.h), or workers connecting over TCP — and hands their
+// outcomes to the ledger.
 //
 // Topology: the coordinator starts `spawn` local workers through its
 // Launcher (a process over a Unix socketpair, or a thread over one) and
 // optionally listens on loopback TCP for `remoteSlots` externally started
 // workers. Workers execute scenarios, one at a time each; only the
-// coordinator ever touches the Controller, so Algorithm 1's learning loop
-// stays strictly sequential and deterministic.
-//
-// Determinism contract (what makes the chaos tests exact): the journal's
-// gen/done interleave is a pure function of (seed, L, total), where the
-// window is L = batch x slots. "gen" lines are appended greedily whenever
-// fewer than L scenarios are generated-but-unfolded; "done" lines are
-// appended strictly in test order (out-of-order completions buffer in
-// memory until their turn). Worker crashes, wedge kills, reassignment,
-// drain, kill-plus-resume and the choice of threads or processes therefore
-// never change the journal bytes — an interrupted-and-resumed campaign's
-// journal is byte-identical to an uninterrupted same-seed run's.
+// coordinator's ledger ever touches the Controller, so Algorithm 1's
+// learning loop stays strictly sequential and deterministic, and the
+// journal is a pure function of (seed, L, total) with the window
+// L = batch x slots.
 //
 // Failure handling: per-worker heartbeats with deadline detection, pid
 // liveness checks, per-slot wedge deadlines (kill the worker to recover
 // the slot; a thread worker's "kill" only closes its socket, and the
 // thread exits once its scenario returns), capped-exponential-backoff
-// respawns from a bounded budget, and reassignment of a dead worker's
-// scenario (outcomes are pure functions of points). A scenario that wedges
-// wedgeKillLimit workers folds as timed out. Completed outcomes
-// additionally live in per-worker shard files (fleet/shard.h) so that
-// killing the *coordinator* loses nothing either: resume() merges shards
-// and re-folds instead of re-executing.
+// respawns (1 s cap) from a bounded budget, and reassignment of a dead
+// worker's scenario (outcomes are pure functions of points). A scenario
+// that wedges wedgeKillLimit workers folds as timed out. Completed
+// outcomes additionally live in per-worker shard files (fleet/shard.h) so
+// that killing the *coordinator* loses nothing either: resume() merges
+// shards and hands them to the ledger, which re-folds instead of
+// re-executing.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 
-#include "campaign/journal.h"
+#include "campaign/fleet/shard.h"
 #include "campaign/runner.h"
 #include "common/proc.h"
+
+namespace avd::campaign {
+class Ledger;
+}  // namespace avd::campaign
 
 namespace avd::campaign::fleet {
 
@@ -84,7 +82,6 @@ struct FleetOptions {
   /// Worker respawn budget across the whole run; 0 = never respawn.
   std::size_t maxWorkerRespawns = 8;
   std::uint64_t respawnBackoffBaseMs = 50;
-  std::uint64_t respawnBackoffCapMs = 1000;
   /// After this many wedge kills of the same test, fold a timed-out zero
   /// outcome instead of reassigning it again.
   std::size_t wedgeKillLimit = 2;
@@ -113,12 +110,10 @@ class FleetCoordinator {
   [[nodiscard]] std::uint16_t listenPort() const;
 
  private:
-  CampaignResult drive(core::Controller& controller,
-                       const core::Hyperspace& space, JournalWriter* journal,
-                       ReplayState replayed,
-                       std::map<std::uint64_t, DoneEvent> preFolded,
-                       std::map<std::uint64_t, std::uint64_t> nextIncarnation,
-                       Checkpoint carried);
+  /// Schedules `ledger`'s tests on the worker slots until its budget is
+  /// folded, the fleet drains, or every slot is gone. `shards` is what a
+  /// resume merged from the campaign directory.
+  CampaignResult drive(Ledger& ledger, MergedShards shards);
 
   FleetOptions options_;
   ExecutorFactory factory_;

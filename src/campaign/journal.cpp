@@ -4,9 +4,12 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <system_error>
+#include <tuple>
 
 #include "avd/gen/protocol_events.h"
 #include "campaign/jsonval.h"
@@ -85,6 +88,30 @@ bool writeFileAtomicDurable(const std::string& path,
 }  // namespace
 
 // --- events -----------------------------------------------------------------
+
+std::string outcomeDefect(const core::Outcome& outcome) {
+  // An impact outside [0, 1] (NaN included) would become the controller's
+  // maximum impact and pin every later mutation distance at 1.
+  constexpr double kFinite = std::numeric_limits<double>::max();
+  const std::tuple<std::string_view, double, double> ranges[] = {
+      {"impact", outcome.impact, 1.0},
+      {"throughputRps", outcome.throughputRps, kFinite},
+      {"avgLatencySec", outcome.avgLatencySec, kFinite},
+      {gen::kJournalKeyRecoveryLatencySec, outcome.recoveryLatencySec,
+       kFinite},
+  };
+  for (const auto& [key, value, most] : ranges) {
+    if (value >= 0.0 && value <= most) continue;
+    char text[32];
+    const char* end = std::to_chars(text, text + sizeof(text), value).ptr;
+    std::string defect(key);
+    defect += ' ';
+    defect += std::string_view(text, static_cast<std::size_t>(end - text));
+    defect += most == 1.0 ? " outside [0, 1]" : " outside [0, inf)";
+    return defect;
+  }
+  return {};
+}
 
 std::string encodeGen(const GenEvent& event) {
   std::string out = "{\"event\":\"gen\",";
@@ -200,38 +227,38 @@ std::string encodeDone(const DoneEvent& event) {
     const auto viewChanges = getU64(line, gen::kJournalKeyViewChanges);
     // Absent in journals written before churn support; default to zero so
     // those campaigns remain resumable.
-    const auto restarts = getU64(line, gen::kJournalKeyRestarts);
+    const auto restarts = getU64(line, gen::kJournalKeyRestarts, 0);
     const auto recoveryLatencySec =
-        getDouble(line, gen::kJournalKeyRecoveryLatencySec);
+        getDouble(line, gen::kJournalKeyRecoveryLatencySec, 0.0);
     // Absent in journals written before flood support; same treatment.
-    const auto queueDrops = getU64(line, gen::kJournalKeyQueueDrops);
-    const auto quotaDrops = getU64(line, gen::kJournalKeyQuotaDrops);
+    const auto queueDrops = getU64(line, gen::kJournalKeyQueueDrops, 0);
+    const auto quotaDrops = getU64(line, gen::kJournalKeyQuotaDrops, 0);
+    // Absent on non-violating lines and in pre-twins journals.
+    const auto safetyWitness =
+        getString(line, gen::kJournalKeySafetyWitness, "");
     const auto safetyViolated = getBool(line, "safetyViolated");
     const auto failed = getBool(line, "failed");
     const auto timedOut = getBool(line, "timedOut");
     const auto error = getString(line, "error");
     if (!test || !impact || !bestImpact || !throughputRps || !avgLatencySec ||
-        !viewChanges || !safetyViolated || !failed || !timedOut || !error) {
+        !viewChanges || !restarts || !recoveryLatencySec || !queueDrops ||
+        !quotaDrops || !safetyWitness || !safetyViolated || !failed ||
+        !timedOut || !error) {
       return std::nullopt;
     }
-    // Every executor clamps impact to [0, 1]; anything else (NaN included)
-    // is a corrupt line or a lying remote worker, and would otherwise become
-    // the controller's maximum impact and pin every later mutation distance
-    // at 1.
-    if (!(*impact >= 0.0 && *impact <= 1.0)) return std::nullopt;
     done.test = *test;
     done.outcome.impact = *impact;
     done.outcome.throughputRps = *throughputRps;
     done.outcome.avgLatencySec = *avgLatencySec;
     done.outcome.viewChanges = *viewChanges;
-    done.outcome.restarts = restarts.value_or(0);
-    done.outcome.recoveryLatencySec = recoveryLatencySec.value_or(0.0);
-    done.outcome.queueDrops = queueDrops.value_or(0);
-    done.outcome.quotaDrops = quotaDrops.value_or(0);
+    done.outcome.restarts = *restarts;
+    done.outcome.recoveryLatencySec = *recoveryLatencySec;
+    done.outcome.queueDrops = *queueDrops;
+    done.outcome.quotaDrops = *quotaDrops;
     done.outcome.safetyViolated = *safetyViolated;
-    // Absent on non-violating lines and in pre-twins journals.
-    done.outcome.safetyWitness =
-        getString(line, gen::kJournalKeySafetyWitness).value_or("");
+    done.outcome.safetyWitness = *safetyWitness;
+    // An unsound outcome is a corrupt line or a lying remote worker.
+    if (!outcomeDefect(done.outcome).empty()) return std::nullopt;
     done.bestImpact = *bestImpact;
     done.failed = *failed;
     done.timedOut = *timedOut;

@@ -59,6 +59,12 @@ struct JournalEvent {
 std::string encodeGen(const GenEvent& event);
 std::string encodeDone(const DoneEvent& event);
 
+/// Why `outcome` is one no executor may report: an impact outside [0, 1],
+/// or a throughput, latency or recovery latency that is not finite and
+/// non-negative. Empty when it is sound. decodeLine rejects such a done
+/// line; executeChecked turns such an outcome into a failed scenario.
+std::string outcomeDefect(const core::Outcome& outcome);
+
 /// Parses one journal line. nullopt on any malformation (the caller decides
 /// whether that is a torn tail or corruption).
 [[nodiscard]] std::optional<JournalEvent> decodeLine(std::string_view line);

@@ -9,12 +9,15 @@
 // formats byte-compatible by construction.
 #pragma once
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <system_error>
 
 #include "avd/hyperspace.h"
 
@@ -71,26 +74,42 @@ inline std::size_t findKey(std::string_view line, std::string_view key) {
                                       : at + pattern.size();
 }
 
-[[nodiscard]] inline std::optional<double> getDouble(std::string_view line,
-                                                     std::string_view key) {
+// Each getter returns `absent` when `key` is missing (a key older writers
+// omit) and nullopt when its value is malformed.
+
+/// Finite values only: appendDouble never writes nan or inf for a value
+/// the campaign accepts, so such text is corruption or a lying peer.
+[[nodiscard]] inline std::optional<double> getDouble(
+    std::string_view line, std::string_view key,
+    std::optional<double> absent = std::nullopt) {
   const std::size_t at = findKey(line, key);
-  if (at == std::string_view::npos) return std::nullopt;
+  if (at == std::string_view::npos) return absent;
   const std::string value(line.substr(at, 64));
   char* end = nullptr;
   const double parsed = std::strtod(value.c_str(), &end);
-  if (end == value.c_str()) return std::nullopt;
+  if (end == value.c_str() || !std::isfinite(parsed)) return std::nullopt;
+  return parsed;
+}
+
+/// Parses the decimal digits at `at`, as std::to_string writes them: no
+/// sign, and nothing that overflows 64 bits. Advances `at` past them.
+[[nodiscard]] inline std::optional<std::uint64_t> parseU64(
+    std::string_view line, std::size_t& at) {
+  std::uint64_t parsed = 0;
+  const char* first = line.data() + at;
+  const auto [end, ec] =
+      std::from_chars(first, line.data() + line.size(), parsed);
+  if (ec != std::errc{}) return std::nullopt;
+  at += static_cast<std::size_t>(end - first);
   return parsed;
 }
 
 [[nodiscard]] inline std::optional<std::uint64_t> getU64(
-    std::string_view line, std::string_view key) {
-  const std::size_t at = findKey(line, key);
-  if (at == std::string_view::npos) return std::nullopt;
-  const std::string value(line.substr(at, 32));
-  char* end = nullptr;
-  const std::uint64_t parsed = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str()) return std::nullopt;
-  return parsed;
+    std::string_view line, std::string_view key,
+    std::optional<std::uint64_t> absent = std::nullopt) {
+  std::size_t at = findKey(line, key);
+  if (at == std::string_view::npos) return absent;
+  return parseU64(line, at);
 }
 
 [[nodiscard]] inline std::optional<std::int64_t> getI64(
@@ -114,11 +133,11 @@ inline std::size_t findKey(std::string_view line, std::string_view key) {
 }
 
 [[nodiscard]] inline std::optional<std::string> getString(
-    std::string_view line, std::string_view key) {
+    std::string_view line, std::string_view key,
+    std::optional<std::string> absent = std::nullopt) {
   std::size_t at = findKey(line, key);
-  if (at == std::string_view::npos || at >= line.size() || line[at] != '"') {
-    return std::nullopt;
-  }
+  if (at == std::string_view::npos) return absent;
+  if (at >= line.size() || line[at] != '"') return std::nullopt;
   ++at;
   std::string out;
   while (at < line.size() && line[at] != '"') {
@@ -159,12 +178,9 @@ inline std::size_t findKey(std::string_view line, std::string_view key) {
   ++at;
   core::Point point;
   while (at < line.size() && line[at] != ']') {
-    const std::string value(line.substr(at, 32));
-    char* end = nullptr;
-    const std::uint64_t parsed = std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str()) return std::nullopt;
-    point.push_back(parsed);
-    at += static_cast<std::size_t>(end - value.c_str());
+    const auto parsed = parseU64(line, at);
+    if (!parsed) return std::nullopt;
+    point.push_back(*parsed);
     if (at < line.size() && line[at] == ',') ++at;
   }
   if (at >= line.size()) return std::nullopt;  // unterminated array

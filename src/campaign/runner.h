@@ -3,24 +3,24 @@
 //
 // The paper's controller explores one scenario at a time; each scenario
 // re-initializes a full deployment, so test *execution* fans out while test
-// *generation* stays a cheap sequential learning step. CampaignRunner has
-// two drivers for that split:
+// *generation* stays a cheap sequential learning step. Every campaign keeps
+// its books on a Ledger (campaign/ledger.h); CampaignRunner picks the
+// driver that executes:
 //
-//  * Serial (workers == 1, no watchdog): inline acquire -> execute ->
-//    report on the calling thread, bit-identical to Controller::runTests
+//  * Serial (workers == 1, no watchdog): the ledger at L = 1, executing
+//    inline on the calling thread, bit-identical to Controller::runTests
 //    for the same seed. It is the reference the golden journals pin.
 //  * Everything else runs on fleet::FleetCoordinator with in-process
 //    thread workers (fleet/thread_fleet.h): one scheduler, one watchdog and
-//    one respawn policy for threads and processes alike. The journal is a
-//    pure function of (seed, window, total), so a thread campaign's
-//    directory is a fleet directory that `avd_cli campaign --resume` can
-//    also continue with worker processes.
+//    one respawn policy for threads and processes alike. A thread
+//    campaign's directory is a fleet directory that `avd_cli campaign
+//    --resume` can also continue with worker processes.
 //
 // Reliability properties, in both drivers:
 //  * every acquire and report is journaled (campaign/journal.h), so a
 //    killed campaign resumes exactly where it stopped;
-//  * an executor that throws, or reports an impact outside [0, 1], yields
-//    a failed zero-impact scenario, not a dead campaign (executeChecked);
+//  * an executor that throws, or reports an unsound outcome, yields a
+//    failed zero-impact scenario, not a dead campaign (executeChecked);
 //  * with a scenarioTimeoutMs budget, the coordinator retires a wedged
 //    worker, retries its scenario once elsewhere, then folds it as timed
 //    out; a campaign whose every worker wedges past the respawn budget
@@ -100,7 +100,7 @@ struct CampaignResult {
 /// Controller state reconstructed by replaying a journal (no re-execution).
 struct ReplayState {
   /// Scenarios with a journaled "gen" but no "done" — in flight at the
-  /// kill; the resuming driver re-executes them first.
+  /// kill, and so the resumed campaign's lowest unfolded tests.
   std::map<std::uint64_t, core::GeneratedScenario> pending;
   std::uint64_t nextTest = 1;  // next un-generated 1-based test number
   std::size_t replayedFailed = 0;
@@ -109,17 +109,16 @@ struct ReplayState {
 
 /// Feeds journaled events through `controller` in recorded order, verifying
 /// each regenerated scenario and folded best-impact against the journal.
-/// Shared by CampaignRunner::resume and the fleet coordinator. Throws
-/// std::runtime_error on divergence (wrong seed, edited journal, changed
-/// hyperspace).
+/// Ledger::resume runs it for both drivers. Throws std::runtime_error on
+/// divergence (wrong seed, edited journal, changed hyperspace).
 ReplayState replayJournal(core::Controller& controller,
                           const std::vector<JournalEvent>& events);
 
 /// Executes one scenario with the campaign's failure isolation. An executor
-/// that throws, or that returns an impact outside [0, 1] (NaN included),
-/// yields a failed scenario with the zero outcome and the reason in
-/// `error`. The serial loop and every fleet worker execute through this, so
-/// no outcome can reach a journal that its own resume would reject.
+/// that throws, or whose outcome has a defect (outcomeDefect), yields a
+/// failed scenario with the zero outcome and the reason in `error`. The
+/// serial loop and every fleet worker execute through this, so no outcome
+/// can reach a journal that its own resume would reject.
 /// `bestImpact` is left for the caller that folds the outcome.
 DoneEvent executeChecked(core::ScenarioExecutor& executor, std::uint64_t test,
                          const core::Point& point);
@@ -133,30 +132,20 @@ class CampaignRunner {
   /// options.outDir is set. Throws std::runtime_error on I/O failure.
   CampaignResult run();
 
-  /// Continues the campaign stored in options.outDir: replays the journal
-  /// against a fresh controller (no re-execution), re-executes scenarios
-  /// that were in flight at the kill, then keeps exploring to the
-  /// manifest's totalTests. The manifest's seed/budget override the
-  /// constructor options. A mode="fleet" directory (any coordinator
-  /// campaign) resumes on the coordinator with thread workers, shards
-  /// included. A mode="process" directory resumes on the serial loop,
-  /// whatever its recorded worker count: an older in-process parallel
-  /// runner wrote those journals in completion order, which only the serial
-  /// loop can continue. Throws std::runtime_error when the directory is
-  /// missing, corrupt, or diverges from deterministic replay.
+  /// Continues the campaign stored in options.outDir (Ledger::resume):
+  /// replays the journal against a fresh controller (no re-execution),
+  /// re-executes scenarios that were in flight at the kill, then keeps
+  /// exploring to the manifest's totalTests. A mode="fleet" directory (any
+  /// coordinator campaign) resumes on the coordinator with thread workers,
+  /// shards included; any other on the serial loop, whatever its recorded
+  /// worker count. Throws std::runtime_error when the directory is missing,
+  /// corrupt, or diverges from deterministic replay.
   CampaignResult resume();
 
  private:
   /// Runs (or resumes) this campaign on the fleet coordinator with
   /// options_.workers thread workers.
   CampaignResult runOnThreads(bool resuming);
-
-  /// The serial loop.
-  CampaignResult drive(core::Controller& controller,
-                       core::ScenarioExecutor& executor,
-                       JournalWriter* journal, ReplayState replayed);
-
-  std::unique_ptr<core::ScenarioExecutor> makeExecutor() const;
 
   ExecutorFactory factory_;
   CampaignOptions options_;

@@ -18,6 +18,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "avd/controller.h"
@@ -100,8 +101,9 @@ class SleepyExecutor final : public core::ScenarioExecutor {
   bool sleepy_;
 };
 
-/// Reports an impact outside [0, 1] on a deterministic subset of points:
-/// 1.5 on a third of them, NaN on a sixth.
+/// Reports an outcome no executor may report on a deterministic subset of
+/// points: impact 1.5 on a third of them, impact NaN on a sixth, latency
+/// NaN on another sixth.
 class OutOfRangeExecutor final : public core::ScenarioExecutor {
  public:
   core::Outcome execute(const core::Point& point) override {
@@ -109,6 +111,9 @@ class OutOfRangeExecutor final : public core::ScenarioExecutor {
     if ((point[0] + point[1]) % 3 == 0) outcome.impact = 1.5;
     if ((point[0] + point[1]) % 3 == 1 && point[0] % 2 == 0) {
       outcome.impact = std::nan("");
+    }
+    if ((point[0] + point[1]) % 3 == 2 && point[0] % 2 == 0) {
+      outcome.avgLatencySec = std::nan("");
     }
     return outcome;
   }
@@ -482,11 +487,58 @@ TEST(CampaignJournal, DoneLinesFromBeforeChurnSupportStillDecode) {
   EXPECT_EQ(decoded->done.outcome.quotaDrops, 0u);
 }
 
+/// `line` with the value of `key` replaced by `value`.
+std::string withValue(const std::string& line, const std::string& key,
+                      const std::string& value) {
+  const std::string pattern = "\"" + key + "\":";
+  const std::size_t at = line.find(pattern) + pattern.size();
+  const std::size_t end = line[at] == '['
+                              ? line.find(']', at) + 1
+                              : line.find_first_of(",}", at);
+  std::string out = line;
+  out.replace(at, end - at, value);
+  return out;
+}
+
 TEST(CampaignJournal, MalformedLinesAreRejected) {
   EXPECT_FALSE(decodeLine("").has_value());
   EXPECT_FALSE(decodeLine("not json at all").has_value());
   EXPECT_FALSE(decodeLine("{\"event\":\"gen\"").has_value());
   EXPECT_FALSE(decodeLine("{\"event\":\"mystery\",\"test\":1}").has_value());
+
+  // Values no encoder writes — a sign or an overflow on a count or a
+  // point, a double that is not finite, a negative rate or latency — come
+  // only from corruption or a lying --remote worker, and must not decode.
+  GenEvent gen;
+  gen.test = 2;
+  gen.point = {1, 2};
+  gen.generatedBy = "random";
+  const std::string validGen = encodeGen(gen);
+  ASSERT_TRUE(decodeLine(validGen).has_value());
+  for (const char* bad : {"[-1,2]", "[1,18446744073709551616]"}) {
+    const std::string line = withValue(validGen, "point", bad);
+    EXPECT_FALSE(decodeLine(line).has_value()) << line;
+  }
+  DoneEvent done;
+  done.test = 3;
+  done.outcome.impact = 0.5;
+  const std::string validDone = encodeDone(done);
+  ASSERT_TRUE(decodeLine(validDone).has_value());
+  const std::pair<const char*, const char*> badDone[] = {
+      {"avgLatencySec", "nan"},
+      {"avgLatencySec", "-0.5"},
+      {"throughputRps", "inf"},
+      {"throughputRps", "-1"},
+      {"recoveryLatencySec", "-5"},
+      {"bestImpact", "nan"},
+      {"viewChanges", "-1"},
+      {"test", "-1"},
+      {"queueDrops", "99999999999999999999999"},
+  };
+  for (const auto& [key, bad] : badDone) {
+    const std::string line = withValue(validDone, key, bad);
+    EXPECT_FALSE(decodeLine(line).has_value()) << line;
+  }
 }
 
 TEST(CampaignJournal, DoneLinesWithImpactOutsideTheUnitIntervalAreRejected) {
@@ -900,8 +952,9 @@ TEST(CampaignIsolation, RespawnBudgetExhaustionStillAborts) {
 }
 
 TEST(CampaignIsolation, OutOfRangeImpactIsAFailedScenarioAndTheJournalResumes) {
-  // An impact outside [0, 1] would become µ and then a journal line that
-  // resume rejects as corrupt. It is a failed scenario instead.
+  // An impact outside [0, 1] would become µ, and it or a NaN latency would
+  // become a journal line that resume rejects as corrupt. Each is a failed
+  // scenario instead.
   const std::string dir = scratchDir("out_of_range");
   CampaignOptions options;
   options.seed = 3;
@@ -921,6 +974,8 @@ TEST(CampaignIsolation, OutOfRangeImpactIsAFailedScenarioAndTheJournalResumes) {
   EXPECT_NE(journal.find("executor returned impact 1.5 outside [0, 1]"),
             std::string::npos);
   EXPECT_NE(journal.find("executor returned impact nan outside [0, 1]"),
+            std::string::npos);
+  EXPECT_NE(journal.find("executor returned avgLatencySec nan outside [0, inf)"),
             std::string::npos);
 
   writeAll(journalPath(dir), journal.substr(0, cutOffset(journal, 41, 23)));

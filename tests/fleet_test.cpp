@@ -423,6 +423,12 @@ TEST(FleetProtocol, GarbageIsUnknown) {
   EXPECT_EQ(kindOf("{\"event\":\"mystery\"}"), MessageKind::kUnknown);
   EXPECT_FALSE(decodeAssign("{\"event\":\"assign\"}").has_value())
       << "assign without test/point is a protocol violation, not a default";
+  EXPECT_FALSE(
+      decodeAssign("{\"event\":\"assign\",\"test\":-1,\"point\":[1]}")
+          .has_value());
+  EXPECT_FALSE(
+      decodeAssign("{\"event\":\"assign\",\"test\":1,\"point\":[-1]}")
+          .has_value());
 }
 
 // --- worker ------------------------------------------------------------------
@@ -633,14 +639,18 @@ TEST(FleetChaos, RepeatedCrashesExhaustTheRespawnBudgetAndAbort) {
 }
 
 TEST(FleetChaos, OutOfRangeImpactIsAFailedScenarioNotADeadWorker) {
-  // An impact outside [0, 1] would fail the coordinator's decode of the
-  // outcome frame, kill the worker and reassign the point until the
-  // respawn budget is gone. The worker reports a failed scenario instead.
+  // An impact outside [0, 1] or a NaN latency would fail the coordinator's
+  // decode of the outcome frame, kill the worker and reassign the point
+  // until the respawn budget is gone. The worker reports a failed scenario
+  // instead.
   class OutOfRange final : public core::ScenarioExecutor {
    public:
     core::Outcome execute(const core::Point& point) override {
       core::Outcome outcome = inner_.execute(point);
       if ((point[0] + point[1]) % 3 == 0) outcome.impact = 1.5;
+      if ((point[0] + point[1]) % 3 == 1) {
+        outcome.avgLatencySec = std::nan("");
+      }
       return outcome;
     }
     const core::Hyperspace& space() const noexcept override {
@@ -663,8 +673,10 @@ TEST(FleetChaos, OutOfRangeImpactIsAFailedScenarioNotADeadWorker) {
   EXPECT_EQ(result.workerCrashes, 0u);
   EXPECT_GT(result.failed, 0u);
   EXPECT_LE(result.maxImpact, 1.0);
-  EXPECT_NE(readAll(journalPath(dir))
-                .find("executor returned impact 1.5 outside [0, 1]"),
+  const std::string journal = readAll(journalPath(dir));
+  EXPECT_NE(journal.find("executor returned impact 1.5 outside [0, 1]"),
+            std::string::npos);
+  EXPECT_NE(journal.find("executor returned avgLatencySec nan outside [0, inf)"),
             std::string::npos);
 }
 

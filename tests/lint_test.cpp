@@ -198,11 +198,14 @@ TEST(LintR5, DeclarationInHeaderIsTrackedAcrossFiles) {
 }
 
 TEST(LintR5, CampaignRunnerIsInScope) {
-  const auto findings =
-      lintFixture("unordered_iter.cc", "src/campaign/runner.cpp");
-  EXPECT_EQ(countRule(findings, "unordered-iter"), 2u)
-      << "the campaign driver loop is ordering-sensitive: journal replay "
-         "must see the same interleaving every run";
+  for (const char* path :
+       {"src/campaign/runner.cpp", "src/campaign/ledger.cpp"}) {
+    const auto findings = lintFixture("unordered_iter.cc", path);
+    EXPECT_EQ(countRule(findings, "unordered-iter"), 2u)
+        << path << ": the campaign driver loop and the ledger's fold are "
+           "ordering-sensitive: journal replay must see the same "
+           "interleaving every run";
+  }
 }
 
 TEST(LintR5, CampaignHeaderDeclarationsAreTrackedAcrossFiles) {

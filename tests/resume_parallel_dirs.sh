@@ -6,8 +6,9 @@
 #    killed mid-run and stripped of its shards, resumes on worker processes
 #    to the journal and classes of an uninterrupted run;
 #  - one written by the former in-process pool (FIXTURE_DIR/pool_*, a
-#    completion-order journal, mode "process") runs on the serial loop to
-#    its full budget.
+#    completion-order journal, mode "process") runs on the serial loop, as
+#    one worker, to its full budget and to the journal in
+#    FIXTURE_DIR/pool_resumed_journal.jsonl.
 set -eu
 cli=$1
 fixtures=$2
@@ -31,4 +32,6 @@ mkdir "$out/pool"
 cp "$fixtures/pool_manifest.json" "$out/pool/manifest.json"
 head -n 30 "$fixtures/pool_journal.jsonl" > "$out/pool/journal.jsonl"
 "$cli" campaign --resume "$out/pool" > "$out/pool.log"
+grep -q "resuming campaign on quorum: 24 tests, 1 worker(s)" "$out/pool.log"
 grep -q "executed 24 scenarios" "$out/pool.log"
+cmp "$fixtures/pool_resumed_journal.jsonl" "$out/pool/journal.jsonl"

@@ -595,7 +595,9 @@ int cmdCampaign(const Args& args) {
     seed = manifest->seed;
     options.outDir = resumeDir;
     options.totalTests = manifest->totalTests;
-    options.workers = manifest->workers;
+    // A non-fleet directory continues on the serial loop, whatever worker
+    // count wrote it.
+    options.workers = 1;
   }
   if (findSystem(system) == nullptr) return 2;
   options.seed = seed;

@@ -235,6 +235,7 @@ bool unorderedIterScope(const std::string& path) {
   return pathEndsWith(path, "pbft/replica.cpp") ||
          pathEndsWith(path, "avd/controller.cpp") ||
          pathEndsWith(path, "campaign/runner.cpp") ||
+         pathEndsWith(path, "campaign/ledger.cpp") ||
          pathEndsWith(path, "campaign/dedup.cpp") ||
          pathEndsWith(path, "campaign/fleet/coordinator.cpp") ||
          pathEndsWith(path, "campaign/fleet/shard.cpp") ||
@@ -250,6 +251,7 @@ bool unorderedDeclScope(const std::string& path) {
          pathEndsWith(path, "pbft/stable_storage.h") ||
          pathEndsWith(path, "avd/controller.h") ||
          pathEndsWith(path, "campaign/runner.h") ||
+         pathEndsWith(path, "campaign/ledger.h") ||
          pathEndsWith(path, "campaign/dedup.h") ||
          pathEndsWith(path, "campaign/fleet/coordinator.h") ||
          pathEndsWith(path, "campaign/fleet/shard.h") ||
@@ -900,7 +902,7 @@ const std::vector<RuleInfo>& ruleRegistry() {
        "R4: no manual mutex lock()/unlock(); RAII guards only"},
       {"unordered-iter",
        "R5: no hash-container iteration in the ordering-sensitive loops of "
-       "pbft/replica.cpp, avd/controller.cpp, campaign/runner.cpp, "
+       "pbft/replica.cpp, avd/controller.cpp, campaign/{runner,ledger}.cpp, "
        "campaign/dedup.cpp, campaign/fleet/{coordinator,shard,worker}.cpp, "
        "faultinject/churn.cpp, faultinject/flood.cpp, faultinject/twins.cpp, "
        "or sim/network.cpp"},
