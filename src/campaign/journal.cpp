@@ -440,11 +440,21 @@ bool writeManifest(const std::string& dir, const Manifest& manifest) {
   manifest.checkpointEvery = *checkpointEvery;
   manifest.scenarioTimeoutMs = *scenarioTimeoutMs;
   // Fleet fields are absent in pre-fleet manifests; default to the
-  // single-process mode so those campaign directories stay resumable.
-  manifest.mode = getString(*contents, "mode").value_or("process");
-  manifest.batch = getU64(*contents, "batch").value_or(4);
-  manifest.spawn = getU64(*contents, "spawn").value_or(0);
-  manifest.heartbeatMs = getU64(*contents, "heartbeatMs").value_or(200);
+  // single-process mode so those campaign directories stay resumable. A
+  // present but malformed value is corruption, not a default.
+  const auto mode = getString(*contents, "mode", manifest.mode);
+  const auto batch = getU64(*contents, "batch", manifest.batch);
+  const auto spawn = getU64(*contents, "spawn", manifest.spawn);
+  const auto heartbeatMs =
+      getU64(*contents, "heartbeatMs", manifest.heartbeatMs);
+  if (!mode || (*mode != "process" && *mode != "fleet") || !batch ||
+      !spawn || !heartbeatMs) {
+    return std::nullopt;
+  }
+  manifest.mode = *mode;
+  manifest.batch = *batch;
+  manifest.spawn = *spawn;
+  manifest.heartbeatMs = *heartbeatMs;
   return manifest;
 }
 
@@ -482,10 +492,14 @@ bool writeCheckpoint(const std::string& dir, const Checkpoint& checkpoint) {
   checkpoint.generated = *generated;
   checkpoint.completed = *completed;
   checkpoint.maxImpact = *maxImpact;
-  // Absent before the fleet: default zero.
-  checkpoint.respawns = getU64(*contents, "respawns").value_or(0);
-  checkpoint.reassigned = getU64(*contents, "reassigned").value_or(0);
-  checkpoint.workerCrashes = getU64(*contents, "workerCrashes").value_or(0);
+  // Absent before the fleet: default zero. Malformed: corruption.
+  const auto respawns = getU64(*contents, "respawns", 0);
+  const auto reassigned = getU64(*contents, "reassigned", 0);
+  const auto workerCrashes = getU64(*contents, "workerCrashes", 0);
+  if (!respawns || !reassigned || !workerCrashes) return std::nullopt;
+  checkpoint.respawns = *respawns;
+  checkpoint.reassigned = *reassigned;
+  checkpoint.workerCrashes = *workerCrashes;
   return checkpoint;
 }
 

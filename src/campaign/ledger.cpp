@@ -52,7 +52,8 @@ Ledger Ledger::resume(const ExecutorFactory& factory,
   if (dir.empty()) throw std::runtime_error("campaign: resume requires outDir");
   const auto manifest = loadManifest(dir);
   if (!manifest) {
-    throw std::runtime_error("campaign: missing/corrupt manifest in '" + dir +
+    const std::string path = manifestPath(dir);
+    throw std::runtime_error("campaign: missing/corrupt manifest '" + path +
                              "'");
   }
   options.seed = manifest->seed;
@@ -80,7 +81,17 @@ Ledger Ledger::resume(const ExecutorFactory& factory,
     throw std::runtime_error("campaign: cannot reopen journal in '" + dir +
                              "'");
   }
-  const Checkpoint carried = loadCheckpoint(dir).value_or(Checkpoint{});
+  // No checkpoint yet (killed before the first) carries zeros; a
+  // malformed one is corruption.
+  Checkpoint carried;
+  if (const std::string path = checkpointPath(dir);
+      std::filesystem::exists(path)) {
+    const auto checkpoint = loadCheckpoint(dir);
+    if (!checkpoint) {
+      throw std::runtime_error("campaign: corrupt checkpoint '" + path + "'");
+    }
+    carried = *checkpoint;
+  }
   ledger.result_.respawns = static_cast<std::size_t>(carried.respawns);
   ledger.result_.reassigned = static_cast<std::size_t>(carried.reassigned);
   ledger.result_.workerCrashes =

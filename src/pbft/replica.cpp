@@ -477,6 +477,14 @@ std::size_t Replica::replyCacheBytes() const noexcept {
   return total;
 }
 
+std::map<util::SeqNum, std::uint64_t> Replica::executionTrace() const {
+  std::map<util::SeqNum, std::uint64_t> trace;
+  for (const auto& [seq, cert] : commitCerts_) {
+    trace.emplace_hint(trace.end(), seq, cert.digest);
+  }
+  return trace;
+}
+
 Replica::ClientRecord& Replica::clientRecord(util::NodeId client) {
   if (client >= clients_.size()) clients_.resize(client + 1);
   std::optional<ClientRecord>& record = clients_[client];
@@ -851,7 +859,6 @@ void Replica::executeEntry(util::SeqNum seq, LogEntry& entry) {
     authedRequests_.erase(request->digest);
   }
   entry.executed = true;
-  executedDigests_[seq] = entry.digest;
   CommitCert& cert = commitCerts_[seq];
   cert.digest = entry.digest;
   cert.voters.clear();

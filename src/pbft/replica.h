@@ -157,11 +157,8 @@ class Replica final : public sim::Node {
   crypto::MacService& macs() noexcept { return macs_; }
   const StableStorage& stableStorage() const noexcept { return stable_; }
 
-  /// seq -> digest of the executed batch; the cross-replica safety oracle
-  /// compares these maps.
-  const std::map<util::SeqNum, std::uint64_t>& executionTrace() const noexcept {
-    return executedDigests_;
-  }
+  /// seq -> digest of the executed batch, read off commitCerts().
+  std::map<util::SeqNum, std::uint64_t> executionTrace() const;
 
   /// Commit certificate snapshotted at execution time: the executed digest
   /// plus the commit voters that endorsed it. Recorded per sequence because
@@ -400,9 +397,7 @@ class Replica final : public sim::Node {
   /// client retransmitting across the eviction still finds its reply.
   std::map<util::NodeId, util::RequestId> replyCacheFrozen_;
 
-  std::map<util::SeqNum, std::uint64_t> executedDigests_;
-  /// Like executedDigests_, survives restarts: the oracle must span
-  /// incarnations.
+  /// Survives restarts: the oracle must span incarnations.
   std::map<util::SeqNum, CommitCert> commitCerts_;
   ReplicaStats stats_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "sim/network.h"
 #include "sim/node.h"
@@ -10,9 +11,19 @@ namespace avd::sim {
 
 TimerId Simulator::push(Time when, Record record) {
   assert(when >= now_ && "cannot schedule into the past");
+  if (nextId_ > (~std::uint64_t{0} >> kSlotBits)) {
+    throw std::length_error("Simulator: event ids exhausted");
+  }
   const TimerId id = nextId_++;
   std::uint32_t slot = 0;
   if (freeSlots_.empty()) {
+    if (records_.size() > kSlotMask) {
+      throw std::length_error("Simulator: too many pending events");
+    }
+    // Keep room to free every slot without allocating (see compact()).
+    if (freeSlots_.capacity() == records_.size()) {
+      freeSlots_.reserve(2 * records_.size() + 8);
+    }
     slot = static_cast<std::uint32_t>(records_.size());
     records_.push_back(std::move(record));
   } else {
@@ -22,7 +33,7 @@ TimerId Simulator::push(Time when, Record record) {
   }
   states_.push_back(State::kPending);
   ++live_;
-  heap_.push_back(Entry{when, id, slot});
+  heap_.push_back(Entry{when, (id << kSlotBits) | slot});
   siftUp(heap_.size() - 1);
   return id;
 }
@@ -33,17 +44,38 @@ void Simulator::cancel(TimerId id) noexcept {
   if (state != State::kPending) return;
   state = State::kCancelled;
   --live_;
+  ++dead_;
+  if (dead_ > live_ + kDeadSlack) compact();
+}
+
+void Simulator::compact() noexcept {
+  std::size_t kept = 0;
+  for (const Entry& entry : heap_) {
+    State& state = stateOf(idOf(entry));
+    if (state == State::kPending) {
+      heap_[kept++] = entry;
+      continue;
+    }
+    state = State::kSettled;
+    records_[slotOf(entry)].emplace<Call>();
+    freeSlots_.push_back(slotOf(entry));  // within capacity
+  }
+  heap_.resize(kept);
+  dead_ = 0;
+  // Rebuild the heap bottom-up, from the last node that has a child.
+  for (std::size_t index = (kept + 2) / 4; index-- > 0;) siftDown(index);
 }
 
 bool Simulator::liveTop() {
   while (!heap_.empty()) {
     const Entry top = heap_.front();
-    State& state = stateOf(top.id);
+    State& state = stateOf(idOf(top));
     if (state == State::kPending) return true;
     // A cancelled event: release what its record holds and its slot.
     state = State::kSettled;
-    records_[top.slot].emplace<Call>();
-    freeSlots_.push_back(top.slot);
+    --dead_;
+    records_[slotOf(top)].emplace<Call>();
+    freeSlots_.push_back(slotOf(top));
     popHeap();
   }
   return false;
@@ -52,14 +84,15 @@ bool Simulator::liveTop() {
 void Simulator::fireTop() {
   const Entry top = heap_.front();
   popHeap();
-  stateOf(top.id) = State::kSettled;
+  stateOf(idOf(top)) = State::kSettled;
   --live_;
   // Move the record out first: running it may schedule events, which can
   // reuse the slot or grow the table.
-  Record record = std::move(records_[top.slot]);
-  freeSlots_.push_back(top.slot);
+  Record record = std::move(records_[slotOf(top)]);
+  freeSlots_.push_back(slotOf(top));
   now_ = top.when;
   ++executed_;
+  if (dead_ > live_ + kDeadSlack) compact();
   dispatch(record);
 }
 

@@ -11,8 +11,16 @@
 // an ingress-queue service completion — are typed records the simulator
 // dispatches itself; only the remaining one-off callers (fault schedules,
 // tests) pass a closure. Records live in a slot table with a free list, and
-// the queue is a 4-ary min-heap of small (when, id, slot) entries, so
+// the queue is a 4-ary min-heap of 16-byte (when, id|slot) entries, so
 // scheduling an event allocates nothing once the tables have grown.
+//
+// A cancel marks the id cancelled at once. Its entry leaves the heap when
+// it reaches the top, or earlier: once cancelled entries outnumber live
+// ones by more than kDeadSlack, the heap drops them all in one pass and
+// releases the closure each record holds. So between calls the heap holds
+// at most pendingEvents() + kDeadSlack cancelled entries, and a cancel
+// costs amortised O(1). What a closure captures must not call back into
+// the simulator when it is destroyed: that may happen inside cancel().
 #pragma once
 
 #include <cstdint>
@@ -79,7 +87,7 @@ class Simulator {
   }
 
   /// Cancels a scheduled event. A no-op on ids that already fired, were
-  /// already cancelled, or were never issued.
+  /// already cancelled, or were never issued. Allocates nothing.
   void cancel(TimerId id) noexcept;
 
   /// Executes the next pending event. Returns false if the queue is empty.
@@ -119,13 +127,26 @@ class Simulator {
   };
   using Record = std::variant<Call, Deliver, Timer, IngressService>;
 
-  /// Heap entry; `slot` indexes records_. Ordered by (when, id), which is
-  /// unique, so the pop order is independent of the heap's shape.
+  /// Heap entry: `key` holds the id above kSlotBits bits of slot (the
+  /// index into records_). Ids are unique, so ordering by (when, key) is
+  /// ordering by (when, id), and the pop order is independent of the
+  /// heap's shape.
   struct Entry {
     Time when;
-    TimerId id;
-    std::uint32_t slot;
+    std::uint64_t key;
   };
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr std::uint64_t kSlotMask =
+      (std::uint64_t{1} << kSlotBits) - 1;
+  /// Cancelled entries the heap may hold beyond the live ones.
+  static constexpr std::size_t kDeadSlack = 16;
+
+  static TimerId idOf(const Entry& entry) noexcept {
+    return entry.key >> kSlotBits;
+  }
+  static std::uint32_t slotOf(const Entry& entry) noexcept {
+    return static_cast<std::uint32_t>(entry.key & kSlotMask);
+  }
 
   /// Life cycle of an issued id, one byte each (see states_).
   enum class State : std::uint8_t { kPending, kCancelled, kSettled };
@@ -137,6 +158,9 @@ class Simulator {
   /// Pops the live top entry and runs its record.
   void fireTop();
   void popHeap() noexcept;
+  /// Drops every cancelled entry from the heap, releases its record and
+  /// frees its slot.
+  void compact() noexcept;
   void dispatch(Record& record);
 
   State& stateOf(TimerId id) noexcept {
@@ -144,7 +168,7 @@ class Simulator {
   }
 
   static bool earlier(const Entry& a, const Entry& b) noexcept {
-    return a.when != b.when ? a.when < b.when : a.id < b.id;
+    return a.when != b.when ? a.when < b.when : a.key < b.key;
   }
   void siftUp(std::size_t index) noexcept;
   void siftDown(std::size_t index) noexcept;
@@ -154,8 +178,12 @@ class Simulator {
   std::uint64_t executed_ = 0;
   /// Pending events that are not cancelled.
   std::size_t live_ = 0;
+  /// Cancelled entries still in the heap.
+  std::size_t dead_ = 0;
   std::vector<Entry> heap_;
   std::vector<Record> records_;
+  /// Its capacity never falls below records_.size(), so freeing slots
+  /// never allocates.
   std::vector<std::uint32_t> freeSlots_;
   /// states_[id - 1] is the state of id: one byte per event scheduled over
   /// the simulator's life (about 0.3 MB for a 250-client pbft deployment).

@@ -661,6 +661,34 @@ TEST(LintEffects, CommonRngMaskHoldsAcrossTranslationUnits) {
   EXPECT_EQ(seedLaneEffects(files), kEffectRng);
 }
 
+TEST(LintEffects, MapIgnoresShiftedLinesButNotANewEffect) {
+  // The checked-in map (`--check-effects`) is keyed by file and function:
+  // moving code leaves it as it is, and only a change of effects shows.
+  std::vector<SourceFile> files = {
+      {"src/campaign/settle_fixture.cpp",
+       "#include <thread>\n"
+       "void settle() {\n"
+       "  std::this_thread::sleep_for(std::chrono::milliseconds(1));\n"
+       "}\n"
+       "int tally(int n) { return n + 1; }\n"},
+  };
+  const auto render = [](const std::vector<SourceFile>& set) {
+    const RepoIndex index = buildIndex(set);
+    return generateEffectsJson(index, inferEffects(index));
+  };
+  const std::string before = render(files);
+  ASSERT_NE(before.find("\"function\": \"settle\""), std::string::npos);
+  EXPECT_EQ(before.find("tally"), std::string::npos);
+
+  files[0].text.insert(0, "\n");
+  EXPECT_EQ(render(files), before) << "a shifted line is not a change";
+
+  files[0].text += "void drain() { settle(); }\n";
+  const std::string after = render(files);
+  EXPECT_NE(after, before) << "a new effect must fail the gate";
+  EXPECT_NE(after.find("\"function\": \"drain\""), std::string::npos);
+}
+
 // --- Lexer hardening ---------------------------------------------------------
 
 TEST(LintLexer, RawStringLiteralIsOneTokenAndHidesItsContent) {

@@ -2,10 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "faultinject/network_faults.h"
 #include "sim/network.h"
 #include "sim/node.h"
@@ -123,6 +127,134 @@ TEST(Simulator, DeterministicRngStream) {
   Simulator a(77);
   Simulator b(77);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.rng().next(), b.rng().next());
+}
+
+TEST(Simulator, MatchesAnOrderedReferenceUnderHeavyCancellation) {
+  // A seeded mix of schedule, cancel, step and runUntil against a
+  // reference ordered by (when, id). Every other stretch of 2,000
+  // operations cancels almost as often as it schedules, mostly far-future
+  // events, so cancelled entries outnumber live ones again and again and
+  // the queue drops them many times.
+  Simulator simulator;
+  util::Rng rng(2024);
+  enum class Fate : std::uint8_t { kPending, kCancelled, kFired };
+  std::vector<Fate> fates(1);  // fates[id]; id 0 is never issued
+  std::vector<Time> whenOf(1);
+  std::set<std::pair<Time, TimerId>> reference;
+  std::vector<TimerId> live;             // pending ids, in no order
+  std::vector<std::size_t> liveAt(1);    // index of a pending id in `live`
+  std::vector<TimerId> fired;
+  std::size_t cancels = 0;
+
+  const auto forget = [&](TimerId id) {
+    reference.erase({whenOf[id], id});
+    liveAt[live.back()] = liveAt[id];
+    live[liveAt[id]] = live.back();
+    live.pop_back();
+  };
+  // Fires what the reference says is due and checks the simulator did the
+  // same, in the same order.
+  const auto expectFired = [&](const std::vector<TimerId>& due) {
+    ASSERT_EQ(fired, due);
+    for (const TimerId id : due) {
+      ASSERT_EQ(fates[id], Fate::kPending) << "id " << id << " fired twice "
+                                           << "or after its cancel";
+      fates[id] = Fate::kFired;
+      forget(id);
+    }
+    fired.clear();
+  };
+
+  for (int op = 0; op < 120'000; ++op) {
+    const bool churn = (op / 2'000) % 2 == 0;
+    const std::uint64_t roll = rng.below(100);
+    if (roll < (churn ? 48u : 25u)) {
+      // Coarse delays make ties; one in three events is far in the future.
+      const Time delay = rng.chance(1.0 / 3) ? rng.range(1'000, 1'000'000)
+                                              : rng.range(0, 40) * 5;
+      const TimerId expected = fates.size();
+      const TimerId id = simulator.schedule(
+          delay, [&fired, expected] { fired.push_back(expected); });
+      ASSERT_EQ(id, expected) << "ids are insertion numbers";
+      fates.push_back(Fate::kPending);
+      whenOf.push_back(simulator.now() + delay);
+      liveAt.push_back(live.size());
+      live.push_back(id);
+      reference.emplace(simulator.now() + delay, id);
+    } else if (roll < (churn ? 90u : 40u)) {
+      if (live.empty()) continue;
+      const TimerId id = live[rng.below(live.size())];
+      simulator.cancel(id);
+      fates[id] = Fate::kCancelled;
+      forget(id);
+      ++cancels;
+    } else if (roll < (churn ? 92u : 45u)) {
+      // Cancelling an id that already fired or was cancelled, was never
+      // issued, or is 0 changes nothing.
+      const std::size_t before = simulator.pendingEvents();
+      const TimerId issued = fates.size() - 1;
+      const TimerId settled = issued == 0 ? 0 : rng.range(1, issued);
+      for (const TimerId id : {TimerId{0}, issued + 1 + rng.below(1'000),
+                               settled}) {
+        if (id != 0 && id <= issued && fates[id] == Fate::kPending) continue;
+        simulator.cancel(id);
+      }
+      ASSERT_EQ(simulator.pendingEvents(), before);
+    } else if (roll < (churn ? 99u : 95u) || reference.empty()) {
+      const bool ran = simulator.step();
+      ASSERT_EQ(ran, !reference.empty());
+      if (ran) {
+        const auto [when, id] = *reference.begin();
+        expectFired({id});
+        ASSERT_EQ(simulator.now(), when);
+      }
+    } else {
+      const Time deadline = simulator.now() + rng.range(0, 400);
+      std::vector<TimerId> due;
+      for (const auto& [when, id] : reference) {
+        if (when > deadline) break;
+        due.push_back(id);
+      }
+      simulator.runUntil(deadline);
+      expectFired(due);
+      ASSERT_EQ(simulator.now(), deadline);
+    }
+    ASSERT_EQ(simulator.pendingEvents(), reference.size()) << "op " << op;
+  }
+  EXPECT_GT(cancels, 25'000u);
+
+  std::vector<TimerId> rest;
+  for (const auto& entry : reference) rest.push_back(entry.second);
+  EXPECT_EQ(simulator.run(), rest.size());
+  expectFired(rest);
+  EXPECT_EQ(simulator.pendingEvents(), 0u);
+}
+
+TEST(Simulator, CancelReleasesTheClosureBeforeTheEventsTime) {
+  // A cancelled far-future event gives up what its closure holds once
+  // cancelled entries outnumber live ones, not when its time comes.
+  Simulator simulator;
+  auto token = std::make_shared<int>(7);
+  std::weak_ptr<int> observer = token;
+  const TimerId far = simulator.schedule(sec(100), [token] { (void)*token; });
+  token.reset();
+  simulator.cancel(far);
+  // A live event ahead of it, and short timers armed and then cancelled,
+  // as clients' retry timers are.
+  bool sentinelFired = false;
+  (void)simulator.schedule(sec(50), [&sentinelFired] { sentinelFired = true; });
+  std::vector<TimerId> retries;
+  for (int i = 0; i < 100; ++i) {
+    retries.push_back(simulator.schedule(msec(5), [] {}));
+  }
+  for (const TimerId id : retries) simulator.cancel(id);
+  simulator.runUntil(sec(40));
+  EXPECT_TRUE(observer.expired())
+      << "the cancelled event still held its capture";
+  EXPECT_EQ(simulator.pendingEvents(), 1u);
+  simulator.run();
+  EXPECT_TRUE(sentinelFired);
+  EXPECT_EQ(simulator.now(), sec(50)) << "the cancelled event did not fire";
 }
 
 // --- Network -------------------------------------------------------------------

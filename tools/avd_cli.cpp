@@ -433,8 +433,8 @@ int runFleetCampaign(const std::string& resumeDir,
   if (!resumeDir.empty()) {
     const auto manifest = campaign::loadManifest(resumeDir);
     if (!manifest) {
-      std::fprintf(stderr, "no campaign manifest in '%s'\n",
-                   resumeDir.c_str());
+      std::fprintf(stderr, "missing or corrupt campaign manifest '%s'\n",
+                   campaign::manifestPath(resumeDir).c_str());
       return 1;
     }
     if (manifest->mode != "fleet") {
@@ -581,8 +581,8 @@ int cmdCampaign(const Args& args) {
     // The manifest pins system/seed/budget; flags are ignored on resume.
     const auto manifest = campaign::loadManifest(resumeDir);
     if (!manifest) {
-      std::fprintf(stderr, "no campaign manifest in '%s'\n",
-                   resumeDir.c_str());
+      std::fprintf(stderr, "missing or corrupt campaign manifest '%s'\n",
+                   campaign::manifestPath(resumeDir).c_str());
       return 1;
     }
     if (manifest->mode == "fleet") {

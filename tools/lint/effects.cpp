@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -390,9 +391,9 @@ EffectIndex inferEffects(const RepoIndex& index) {
 
 std::string generateEffectsJson(const RepoIndex& index,
                                 const EffectIndex& effects) {
+  // Keyed by file and function, not line: moving code changes no row.
   struct Row {
     std::string file;
-    std::size_t line;
     std::string function;
     unsigned direct;
     unsigned total;
@@ -402,13 +403,11 @@ std::string generateEffectsJson(const RepoIndex& index,
     if (effects.fn[i].total == 0) continue;
     const FileIndex& file = index.files[effects.flat[i].first];
     const FunctionInfo& fn = file.functions[effects.flat[i].second];
-    rows.push_back({file.path, fn.line, fn.qualified, effects.fn[i].direct,
-                    effects.fn[i].total});
+    rows.push_back(
+        {file.path, fn.qualified, effects.fn[i].direct, effects.fn[i].total});
   }
   std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-    if (a.file != b.file) return a.file < b.file;
-    if (a.line != b.line) return a.line < b.line;
-    return a.function < b.function;
+    return std::tie(a.file, a.function) < std::tie(b.file, b.function);
   });
 
   auto escape = [](const std::string& s) {
@@ -430,8 +429,7 @@ std::string generateEffectsJson(const RepoIndex& index,
   json += "],\n  \"functions\": [\n";
   for (std::size_t r = 0; r < rows.size(); ++r) {
     json += "    {\"file\": \"" + escape(rows[r].file) +
-            "\", \"line\": " + std::to_string(rows[r].line) +
-            ", \"function\": \"" + escape(rows[r].function) +
+            "\", \"function\": \"" + escape(rows[r].function) +
             "\", \"direct\": \"" + effectSetNames(rows[r].direct) +
             "\", \"total\": \"" + effectSetNames(rows[r].total) + "\"}";
     json += (r + 1 < rows.size()) ? ",\n" : "\n";

@@ -113,8 +113,9 @@ bool designatedEffectModule(const std::string& path);
 EffectIndex inferEffects(const RepoIndex& index);
 
 /// Renders the inferred map as deterministic JSON: every function with a
-/// non-empty total effect set, sorted by (file, line, name). Same sources,
-/// same bytes — the `lint.effects` gate diffs this against the checked-in
+/// non-empty total effect set, keyed and sorted by (file, name), with no
+/// line numbers. Same effects, same bytes, wherever the functions sit — the
+/// `lint.effects` gate diffs this against the checked-in
 /// tools/lint/effects.json.
 std::string generateEffectsJson(const RepoIndex& index,
                                 const EffectIndex& effects);
