@@ -21,14 +21,8 @@ using namespace avd;
 namespace {
 
 core::PbftExecutorOptions quickOptions(std::uint64_t seed) {
-  core::PbftExecutorOptions options;
-  options.pbft.requestTimeout = sim::msec(400);
-  options.pbft.viewChangeTimeout = sim::msec(400);
-  options.clientRetx = sim::msec(100);
-  options.link = sim::LinkModel{sim::msec(5), sim::usec(500)};
-  options.warmup = sim::msec(400);
-  options.measure = sim::msec(3000);
-  options.defaultCorrectClients = 20;
+  core::PbftExecutorOptions options =
+      core::makePaperExecutorOptions(sim::msec(3000));
   options.baseSeed = seed;
   return options;
 }

@@ -23,18 +23,11 @@ using namespace avd;
 namespace {
 
 core::PbftExecutorOptions benchOptions(std::uint64_t seed) {
-  core::PbftExecutorOptions options;
-  // Preserve the paper's timing *ratios* at simulation-friendly scale:
-  // measurement window >> request timeout >> retransmission >> RTT, so a
-  // single view change costs ~10% while only sustained attacks (the paper's
-  // dark points) register near-total impact. Wider links keep per-test
-  // event counts manageable on one core.
-  options.pbft.requestTimeout = sim::msec(400);
-  options.pbft.viewChangeTimeout = sim::msec(400);
-  options.clientRetx = sim::msec(100);
-  options.link = sim::LinkModel{sim::msec(5), sim::usec(500)};
-  options.warmup = sim::msec(400);
-  options.measure = sim::msec(4000);
+  // The paper's timing ratios, so only sustained attacks (the paper's dark
+  // points) register near-total impact. Wider links keep per-test event
+  // counts manageable on one core.
+  core::PbftExecutorOptions options =
+      core::makePaperExecutorOptions(sim::msec(4000));
   options.baseSeed = seed;
   return options;
 }

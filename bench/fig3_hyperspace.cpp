@@ -31,15 +31,10 @@ int main() {
               "y: clients; dark '#' = throughput < %.0f req/s\n\n",
               static_cast<unsigned long long>(kStride), kDarkThresholdRps);
 
-  core::PbftExecutorOptions options;
   // Same timing-ratio scaling as the Figure 2 bench: only sustained
   // degradation falls below the absolute dark threshold.
-  options.pbft.requestTimeout = sim::msec(400);
-  options.pbft.viewChangeTimeout = sim::msec(400);
-  options.clientRetx = sim::msec(100);
-  options.link = sim::LinkModel{sim::msec(5), sim::usec(500)};
-  options.warmup = sim::msec(400);
-  options.measure = sim::msec(3000);
+  core::PbftExecutorOptions options =
+      core::makePaperExecutorOptions(sim::msec(3000));
   options.baseSeed = 3;
 
   core::Hyperspace space;

@@ -27,19 +27,23 @@
 #include <thread>
 #include <vector>
 
-#include "avd/quorum_executor.h"
 #include "campaign/fleet/coordinator.h"
 #include "campaign/fleet/worker.h"
 #include "campaign/runner.h"
+#include "campaign/systems.h"
 #include "common/proc.h"
 
 using namespace avd;
 
 namespace {
 
+/// `avd_cli campaign --system quorum --seed 2011`: worker processes rebuild
+/// the executor from the system and seed they are welcomed with.
+constexpr const char* kSystem = "quorum";
+constexpr std::uint64_t kSeed = 2011;
+
 std::unique_ptr<core::ScenarioExecutor> makeQuorum() {
-  return std::make_unique<core::QuorumApiExecutor>(
-      core::makeQuorumApiHyperspace());
+  return campaign::makeSystemExecutor(kSystem, kSeed);
 }
 
 struct Row {
@@ -58,7 +62,8 @@ struct Run {
 
 Run runThreads(std::size_t workers, std::size_t tests) {
   campaign::CampaignOptions options;
-  options.seed = 2011;
+  options.seed = kSeed;
+  options.system = kSystem;
   options.totalTests = tests;
   options.workers = workers;
   campaign::CampaignRunner runner([] { return makeQuorum(); }, options);
@@ -80,7 +85,8 @@ Run runThreads(std::size_t workers, std::size_t tests) {
 
 Run runProcesses(std::size_t spawn, std::size_t tests) {
   campaign::fleet::FleetOptions options;
-  options.campaign.seed = 2011;
+  options.campaign.seed = kSeed;
+  options.campaign.system = kSystem;
   options.campaign.totalTests = tests;
   options.spawn = spawn;
   options.launcher = [](std::size_t) {
@@ -124,9 +130,8 @@ void finishRow(Row& row) {
 
 int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "fleet-worker") == 0) {
-    return campaign::fleet::runWorker(
-        util::kChildSocketFd,
-        [](const std::string&, std::uint64_t) { return makeQuorum(); });
+    return campaign::fleet::runWorker(util::kChildSocketFd,
+                                      campaign::makeSystemExecutor);
   }
 
   constexpr std::size_t kTests = 120;

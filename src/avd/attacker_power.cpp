@@ -40,18 +40,11 @@ Hyperspace spaceFor(AttackerPower power) {
 PowerMeasurement measureAttackerPower(AttackerPower power, double threshold,
                                       std::size_t maxTests,
                                       std::uint64_t seed) {
-  PbftExecutorOptions options;
-  options.baseSeed = seed;
   // Timing ratios as in the figure benches: a window much longer than the
   // request timeout, so only sustained attacks reach high impact and
   // "finding a vulnerability" means finding a real one.
-  options.pbft.requestTimeout = sim::msec(400);
-  options.pbft.viewChangeTimeout = sim::msec(400);
-  options.clientRetx = sim::msec(100);
-  options.link = sim::LinkModel{sim::msec(5), sim::usec(500)};
-  options.defaultCorrectClients = 20;
-  options.warmup = sim::msec(400);
-  options.measure = sim::msec(3000);
+  PbftExecutorOptions options = makePaperExecutorOptions(sim::msec(3000));
+  options.baseSeed = seed;
   PbftAttackExecutor executor(spaceFor(power), options);
 
   PowerMeasurement measurement;

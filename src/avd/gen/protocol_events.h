@@ -97,10 +97,9 @@ inline constexpr std::string_view protocolEventName(ProtocolEvent e) {
 // --- Outcome bands and journal keys ---------------------------------------
 //
 // The dedup-signature bands and the byte-stable journal field names.
-// src/campaign/dedup.cpp, src/campaign/journal.cpp, and
-// src/avd/report.cpp consume these; the values are part of the
-// on-disk journal/classes format and must only change deliberately
-// (regenerate + migrate).
+// src/campaign/dedup.cpp and src/campaign/journal.cpp consume these;
+// the values are part of the on-disk journal/classes format and must
+// only change deliberately (regenerate + migrate).
 
 struct OutcomeBand {
   std::string_view metric;      // journal field the band is over

@@ -331,6 +331,17 @@ Hyperspace makeTwinsHyperspace() {
   return space;
 }
 
+PbftExecutorOptions makePaperExecutorOptions(sim::Time measure) {
+  PbftExecutorOptions options;
+  options.pbft.requestTimeout = sim::msec(400);
+  options.pbft.viewChangeTimeout = sim::msec(400);
+  options.clientRetx = sim::msec(100);
+  options.link = sim::LinkModel{sim::msec(5), sim::usec(500)};
+  options.warmup = sim::msec(400);
+  options.measure = measure;
+  return options;
+}
+
 PbftExecutorOptions makeFloodExecutorOptions(bool defended) {
   PbftExecutorOptions options;
   options.link.ingressCapacity = 64;

@@ -138,6 +138,16 @@ Hyperspace makeFloodHyperspace();
 /// conflicting commit certificates reachable.
 Hyperspace makeTwinsHyperspace();
 
+/// The paper's timing ratios at simulation scale, shared by the pbft,
+/// pbft-churn and pbft-twins systems and the paper benches: 400 ms request
+/// and view-change timeouts, 100 ms client retransmission, 5 ms links
+/// (0.5 ms jitter) and a 400 ms warm-up. So the measurement window is much
+/// longer than a timeout, which is much longer than a retransmission,
+/// which is much longer than a round trip: one view change costs about 10%
+/// of a window, and only a sustained attack reaches high impact. Only the
+/// window differs between its users.
+PbftExecutorOptions makePaperExecutorOptions(sim::Time measure);
+
 /// Executor options for the `pbft-flood` system: bounded per-node ingress
 /// (64 messages / 32 KiB / 100 us service per message ≈ 10k msgs/s per
 /// node) so resource exhaustion is observable. `defended` additionally

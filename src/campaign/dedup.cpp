@@ -93,7 +93,11 @@ std::vector<VulnClass> dedupVulnerabilities(
   std::map<VulnSignature, VulnClass> classes;
   for (std::size_t i = 0; i < history.size(); ++i) {
     const core::TestRecord& record = history[i];
-    if (record.outcome.impact < minImpact) continue;
+    // A safety break is a finding at any impact: twins can fork committed
+    // state while throughput barely moves.
+    if (record.outcome.impact < minImpact && !record.outcome.safetyViolated) {
+      continue;
+    }
     const VulnSignature signature = signatureOf(space, record);
     auto [it, inserted] = classes.try_emplace(signature);
     VulnClass& cls = it->second;

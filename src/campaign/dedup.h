@@ -61,9 +61,10 @@ struct VulnClass {
   core::TestRecord exemplar;     // highest-impact member (earliest on ties)
 };
 
-/// Clusters every history record with impact >= minImpact. Returns classes
-/// sorted by exemplar impact descending (ties: signature order), so the
-/// triage report is deterministic.
+/// Clusters every history record with impact >= minImpact, and every
+/// record with a SAFETY verdict whatever its impact. Returns classes with
+/// the SAFETY ones first, each group sorted by exemplar impact descending
+/// (ties: signature order), so the triage report is deterministic.
 std::vector<VulnClass> dedupVulnerabilities(
     const core::Hyperspace& space,
     const std::vector<core::TestRecord>& history, double minImpact = 0.5);

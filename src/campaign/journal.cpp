@@ -36,11 +36,16 @@ bool fsyncParentDir(const std::string& path) {
   return synced && closed;
 }
 
-/// Writes contents to `path` durably: temp file, fsync, atomic rename,
-/// parent-directory fsync. A crash at any instant leaves either the old
-/// file or the new file — never a torn mix — and a true return means the
-/// new name and its bytes both survive power loss. Every failure path
-/// unlinks the temp file so a retry never inherits a stale `.tmp`.
+[[nodiscard]] std::optional<std::string> readFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::string contents((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  return contents;
+}
+
+}  // namespace
+
 bool writeFileAtomicDurable(const std::string& path,
                             const std::string& contents) {
   const std::string tmp = path + ".tmp";
@@ -76,16 +81,6 @@ bool writeFileAtomicDurable(const std::string& path,
   }
   return fsyncParentDir(path);
 }
-
-[[nodiscard]] std::optional<std::string> readFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  return contents;
-}
-
-}  // namespace
 
 // --- events -----------------------------------------------------------------
 
@@ -381,6 +376,9 @@ std::string manifestPath(const std::string& dir) {
 std::string checkpointPath(const std::string& dir) {
   return dir + "/checkpoint.json";
 }
+std::string classesPath(const std::string& dir) {
+  return dir + "/classes.json";
+}
 
 bool writeManifest(const std::string& dir, const Manifest& manifest) {
   std::string out = "{\"version\":" + std::to_string(manifest.version) + ",";
@@ -477,6 +475,9 @@ bool writeCheckpoint(const std::string& dir, const Checkpoint& checkpoint) {
   out += ',';
   appendKey(out, "workerCrashes");
   out += std::to_string(checkpoint.workerCrashes);
+  out += ',';
+  appendKey(out, "safetyViolations");
+  out += std::to_string(checkpoint.safetyViolations);
   out += "}\n";
   return writeFileAtomicDurable(checkpointPath(dir), out);
 }
@@ -492,14 +493,18 @@ bool writeCheckpoint(const std::string& dir, const Checkpoint& checkpoint) {
   checkpoint.generated = *generated;
   checkpoint.completed = *completed;
   checkpoint.maxImpact = *maxImpact;
-  // Absent before the fleet: default zero. Malformed: corruption.
+  // Absent before they were recorded: default zero. Malformed: corruption.
   const auto respawns = getU64(*contents, "respawns", 0);
   const auto reassigned = getU64(*contents, "reassigned", 0);
   const auto workerCrashes = getU64(*contents, "workerCrashes", 0);
-  if (!respawns || !reassigned || !workerCrashes) return std::nullopt;
+  const auto safetyViolations = getU64(*contents, "safetyViolations", 0);
+  if (!respawns || !reassigned || !workerCrashes || !safetyViolations) {
+    return std::nullopt;
+  }
   checkpoint.respawns = *respawns;
   checkpoint.reassigned = *reassigned;
   checkpoint.workerCrashes = *workerCrashes;
+  checkpoint.safetyViolations = *safetyViolations;
   return checkpoint;
 }
 

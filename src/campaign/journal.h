@@ -146,7 +146,20 @@ struct Checkpoint {
   std::uint64_t respawns = 0;       // worker slots revived after crash/wedge
   std::uint64_t reassigned = 0;     // scenarios re-executed on another worker
   std::uint64_t workerCrashes = 0;  // worker deaths observed
+  /// Completed scenarios with a SAFETY verdict (safetyViolated), at any
+  /// impact; counted from the folded history, so it is never carried over
+  /// a resume. Absent before it was recorded: loads as zero.
+  std::uint64_t safetyViolations = 0;
 };
+
+/// Writes `contents` to `path` durably: temp file, fsync, atomic rename,
+/// parent-directory fsync. A crash at any instant leaves either the old
+/// file or the new one, never a torn mix, and a true return means the new
+/// name and its bytes both survive power loss. Every failure path unlinks
+/// the temp file, so a retry never inherits a stale `.tmp`. The manifest,
+/// the checkpoint and classes.json are written through it.
+bool writeFileAtomicDurable(const std::string& path,
+                            const std::string& contents);
 
 bool writeManifest(const std::string& dir, const Manifest& manifest);
 [[nodiscard]] std::optional<Manifest> loadManifest(const std::string& dir);
@@ -157,5 +170,7 @@ bool writeCheckpoint(const std::string& dir, const Checkpoint& checkpoint);
 std::string journalPath(const std::string& dir);
 std::string manifestPath(const std::string& dir);
 std::string checkpointPath(const std::string& dir);
+/// The deduplicated classes (vulnClassesJson) of a finished campaign.
+std::string classesPath(const std::string& dir);
 
 }  // namespace avd::campaign

@@ -75,6 +75,12 @@ Ledger Ledger::resume(const ExecutorFactory& factory,
   ledger.unfolded_ = std::move(replayed.pending);
   ledger.result_.failed = replayed.replayedFailed;
   ledger.result_.timedOut = replayed.replayedTimedOut;
+  const auto& history = ledger.controller_->history();
+  ledger.result_.safetyViolations = static_cast<std::size_t>(
+      std::count_if(history.begin(), history.end(),
+                    [](const core::TestRecord& record) {
+                      return record.outcome.safetyViolated;
+                    }));
 
   ledger.journal_ = std::make_unique<JournalWriter>();
   if (!ledger.journal_->openResume(journalPath(dir), loaded->validBytes)) {
@@ -174,6 +180,7 @@ void Ledger::foldReady() {
     append(encodeDone(done));
     result_.failed += done.failed ? 1 : 0;
     result_.timedOut += done.timedOut ? 1 : 0;
+    result_.safetyViolations += done.outcome.safetyViolated ? 1 : 0;
     checkpoint(false);
     topUp();
   }
@@ -194,6 +201,7 @@ void Ledger::checkpoint(bool force) {
   checkpoint.respawns = result_.respawns;
   checkpoint.reassigned = result_.reassigned;
   checkpoint.workerCrashes = result_.workerCrashes;
+  checkpoint.safetyViolations = result_.safetyViolations;
   writeCheckpoint(options_.outDir, checkpoint);
 }
 

@@ -41,7 +41,8 @@ class Ledger {
   /// The campaign in options.outDir. Its manifest's seed, budget, cadence,
   /// system and timeout replace those of `options`; the journal is
   /// replayed without executing anything and reopened past its torn tail;
-  /// the checkpoint's robustness counters carry over. Throws
+  /// the checkpoint's robustness counters carry over, and the SAFETY count
+  /// is recounted from the replayed history. Throws
   /// std::runtime_error when the directory is missing, corrupt, or diverges
   /// from deterministic replay.
   static Ledger resume(const ExecutorFactory& factory,

@@ -70,7 +70,8 @@ struct CampaignOptions {
   /// Per-scenario wall-clock budget; 0 disables the watchdog. A nonzero
   /// budget runs even a one-worker campaign on the coordinator.
   std::uint64_t scenarioTimeoutMs = 0;
-  /// Minimum impact for a scenario to enter vulnerability triage.
+  /// Minimum impact for a scenario to enter vulnerability triage; a
+  /// scenario with a SAFETY verdict enters at any impact.
   double dedupMinImpact = 0.5;
   core::ControllerOptions controller;
 };
@@ -93,7 +94,11 @@ struct CampaignResult {
   std::size_t reassigned = 0;
   /// Worker deaths (crashes and wedge kills) observed by the coordinator.
   std::size_t workerCrashes = 0;
-  /// Deduplicated vulnerability classes (impact >= dedupMinImpact).
+  /// Folded scenarios with a SAFETY verdict (safetyViolated), at any
+  /// impact.
+  std::size_t safetyViolations = 0;
+  /// Deduplicated vulnerability classes (impact >= dedupMinImpact, or a
+  /// SAFETY verdict).
   std::vector<VulnClass> classes;
 };
 

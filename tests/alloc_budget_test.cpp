@@ -37,13 +37,8 @@ namespace {
 /// mask index 0, client index 24. Its event rate is perfbench's
 /// pbft.events_per_s.
 pbft::DeploymentConfig quietPaperDeployment(std::uint64_t seed) {
-  core::PbftExecutorOptions options;
-  options.pbft.requestTimeout = sim::msec(400);
-  options.pbft.viewChangeTimeout = sim::msec(400);
-  options.clientRetx = sim::msec(100);
-  options.link = sim::LinkModel{sim::msec(5), sim::usec(500)};
-  options.warmup = sim::msec(400);
-  options.measure = sim::msec(3000);
+  core::PbftExecutorOptions options =
+      core::makePaperExecutorOptions(sim::msec(3000));
   options.baseSeed = seed;
   const core::PbftAttackExecutor executor(core::makePaperMacHyperspace(),
                                           options);

@@ -24,12 +24,12 @@
 #include "avd/controller.h"
 #include "avd/pbft_executor.h"
 #include "avd/plugin.h"
-#include "avd/quorum_executor.h"
 #include "campaign/dedup.h"
 #include "campaign/fleet/coordinator.h"
 #include "campaign/fleet/thread_fleet.h"
 #include "campaign/journal.h"
 #include "campaign/runner.h"
+#include "campaign/systems.h"
 
 namespace avd::campaign {
 namespace {
@@ -130,10 +130,7 @@ ExecutorFactory ridgeFactory() {
 }
 
 ExecutorFactory quorumFactory() {
-  return [] {
-    return std::make_unique<core::QuorumApiExecutor>(
-        core::makeQuorumApiHyperspace());
-  };
+  return [] { return makeSystemExecutor("quorum", 1); };
 }
 
 /// Fresh scratch directory under the test temp root.
@@ -273,9 +270,9 @@ TEST(CampaignBitIdentity, SerialCampaignMatchesRunTestsOnQuorum) {
   constexpr std::uint64_t kSeed = 2011;
   constexpr std::size_t kTests = 30;
 
-  core::QuorumApiExecutor reference(core::makeQuorumApiHyperspace());
-  core::Controller controller(reference,
-                              core::defaultPlugins(reference.space()),
+  const auto reference = makeSystemExecutor("quorum", 1);
+  core::Controller controller(*reference,
+                              core::defaultPlugins(reference->space()),
                               core::ControllerOptions{}, kSeed);
   controller.runTests(kTests);
 
@@ -670,14 +667,9 @@ std::string fixturePath(const std::string& name) {
   return std::string(AVD_CAMPAIGN_FIXTURE_DIR) + "/" + name;
 }
 
+/// `avd_cli campaign --system quorum --seed 11`'s executor.
 ExecutorFactory pretwinsQuorumFactory() {
-  return [] {
-    // Mirrors avd_cli's `--system quorum --seed 11` executor exactly.
-    core::QuorumExecutorOptions options;
-    options.baseSeed = 11;
-    return std::make_unique<core::QuorumApiExecutor>(
-        core::makeQuorumApiHyperspace(), options);
-  };
+  return [] { return makeSystemExecutor("quorum", 11); };
 }
 
 TEST(CampaignCompat, PreTwinsJournalLinesReEncodeByteIdentically) {
@@ -1083,6 +1075,106 @@ TEST(CampaignDedup, RestartBandSplitsClassesAndNamesItselfInTheLabel) {
   EXPECT_EQ(signatureLabel(space, signatureOf(space, history[0]))
                 .find("restarts"),
             std::string::npos);
+}
+
+// --- SAFETY verdicts at any impact -------------------------------------------
+
+/// The ridge space with a SAFETY verdict at impact 0.1 on every even x: a
+/// safety break that costs almost no throughput, as twins can cause.
+class QuietSafetyExecutor final : public core::ScenarioExecutor {
+ public:
+  core::Outcome execute(const core::Point& point) override {
+    core::Outcome outcome;
+    outcome.impact = 0.1;
+    outcome.throughputRps = 900.0;
+    outcome.safetyViolated = point[0] % 2 == 0;
+    if (outcome.safetyViolated) outcome.safetyWitness = "seq=1";
+    return outcome;
+  }
+  const core::Hyperspace& space() const noexcept override {
+    return inner_.space();
+  }
+
+ private:
+  RidgeExecutor inner_;
+};
+
+TEST(CampaignSafety, LowImpactSafetyVerdictsFormClassesAndAreCounted) {
+  const ExecutorFactory factory = [] {
+    return std::make_unique<QuietSafetyExecutor>();
+  };
+  CampaignOptions options;
+  options.seed = 3;
+  options.totalTests = 24;
+  options.checkpointEvery = 8;
+  options.outDir = scratchDir("quiet_safety");
+  const CampaignResult result = CampaignRunner(factory, options).run();
+
+  std::size_t verdicts = 0;
+  for (const core::TestRecord& record : result.history) {
+    verdicts += record.outcome.safetyViolated ? 1 : 0;
+  }
+  ASSERT_GT(verdicts, 0u);
+  EXPECT_EQ(result.safetyViolations, verdicts);
+  ASSERT_FALSE(result.classes.empty())
+      << "SAFETY at impact 0.1 is a finding below --min-impact 0.5";
+  std::size_t members = 0;
+  for (const VulnClass& cls : result.classes) {
+    EXPECT_TRUE(cls.signature.safetyViolated);
+    members += cls.count;
+  }
+  EXPECT_EQ(members, verdicts) << "every SAFETY test joins a class";
+
+  const auto checkpoint = loadCheckpoint(options.outDir);
+  ASSERT_TRUE(checkpoint.has_value());
+  EXPECT_EQ(checkpoint->safetyViolations, verdicts);
+
+  // A resume recounts from the replayed journal: a well-formed but wrong
+  // checkpoint count is not carried over.
+  const std::string journal = readAll(journalPath(options.outDir));
+  writeAll(journalPath(options.outDir),
+           journal.substr(0, cutOffset(journal, 21, 7)));
+  Checkpoint stale = *checkpoint;
+  stale.safetyViolations = 999;
+  ASSERT_TRUE(writeCheckpoint(options.outDir, stale));
+
+  CampaignOptions resumeOptions;
+  resumeOptions.outDir = options.outDir;
+  const CampaignResult resumed =
+      CampaignRunner(factory, resumeOptions).resume();
+  EXPECT_EQ(resumed.safetyViolations, verdicts);
+  const auto recounted = loadCheckpoint(options.outDir);
+  ASSERT_TRUE(recounted.has_value());
+  EXPECT_EQ(recounted->safetyViolations, verdicts);
+}
+
+TEST(CampaignJournal, CheckpointSafetyCountDefaultsWhenAbsentNotMalformed) {
+  const std::string dir = scratchDir("safety_key");
+  Checkpoint written;
+  written.completed = 4;
+  written.generated = 4;
+  written.safetyViolations = 3;
+  ASSERT_TRUE(writeCheckpoint(dir, written));
+  const std::string text = readAll(checkpointPath(dir));
+  const auto present = loadCheckpoint(dir);
+  ASSERT_TRUE(present.has_value()) << text;
+  EXPECT_EQ(present->safetyViolations, 3u);
+
+  const std::string key = ",\"safetyViolations\":3";
+  const std::size_t at = text.find(key);
+  ASSERT_NE(at, std::string::npos) << text;
+  std::string absent = text;
+  absent.erase(at, key.size());
+  writeAll(checkpointPath(dir), absent);
+  const auto loaded = loadCheckpoint(dir);
+  ASSERT_TRUE(loaded.has_value()) << absent;
+  EXPECT_EQ(loaded->safetyViolations, 0u);
+  EXPECT_EQ(loaded->completed, 4u);
+
+  std::string malformed = text;
+  malformed.replace(at, key.size(), ",\"safetyViolations\":-3");
+  writeAll(checkpointPath(dir), malformed);
+  EXPECT_FALSE(loadCheckpoint(dir).has_value()) << malformed;
 }
 
 // --- churn campaign end-to-end -----------------------------------------------

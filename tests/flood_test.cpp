@@ -15,6 +15,7 @@
 #include "avd/pbft_executor.h"
 #include "campaign/dedup.h"
 #include "campaign/runner.h"
+#include "campaign/systems.h"
 #include "faultinject/flood.h"
 #include "pbft/deployment.h"
 #include "sim/network.h"
@@ -379,33 +380,29 @@ TEST(FloodExecutor, UndefendedSpamScoresHighDefendedScoresLow) {
   // The acceptance ablation: the same scenario point must read >= 0.5
   // impact on the vulnerable deployment and <= 0.2 with the defense
   // profile, with the committed-state oracle clean both ways.
-  core::PbftAttackExecutor undefended(core::makeFloodHyperspace(),
-                                      core::makeFloodExecutorOptions(false));
-  const core::Outcome raw = undefended.execute(spamPoint());
+  const auto undefended = campaign::makeSystemExecutor("pbft-flood", 1);
+  const core::Outcome raw = undefended->execute(spamPoint());
   EXPECT_GE(raw.impact, 0.5);
   EXPECT_GT(raw.queueDrops, 0u);
   EXPECT_FALSE(raw.safetyViolated);
 
-  core::PbftAttackExecutor defended(core::makeFloodHyperspace(),
-                                    core::makeFloodExecutorOptions(true));
-  const core::Outcome guarded = defended.execute(spamPoint());
+  const auto defended =
+      campaign::makeSystemExecutor("pbft-flood-defended", 1);
+  const core::Outcome guarded = defended->execute(spamPoint());
   EXPECT_LE(guarded.impact, 0.2);
   EXPECT_GT(guarded.quotaDrops, 0u);
   EXPECT_FALSE(guarded.safetyViolated);
 }
 
 TEST(FloodExecutor, FloodOffPointIsNearBaseline) {
-  core::PbftAttackExecutor executor(core::makeFloodHyperspace(),
-                                    core::makeFloodExecutorOptions(false));
-  const core::Outcome outcome = executor.execute({0, 0, 0, 0, 1});
+  const auto executor = campaign::makeSystemExecutor("pbft-flood", 1);
+  const core::Outcome outcome = executor->execute({0, 0, 0, 0, 1});
   EXPECT_LT(outcome.impact, 0.2);
 }
 
 TEST(FloodExecutor, OutcomesAreDeterministicAcrossExecutors) {
   const auto once = [] {
-    core::PbftAttackExecutor executor(core::makeFloodHyperspace(),
-                                      core::makeFloodExecutorOptions(false));
-    return executor.execute(spamPoint());
+    return campaign::makeSystemExecutor("pbft-flood", 1)->execute(spamPoint());
   };
   const core::Outcome a = once();
   const core::Outcome b = once();

@@ -17,6 +17,7 @@
 #include "avd/pbft_executor.h"
 #include "campaign/dedup.h"
 #include "campaign/journal.h"
+#include "campaign/systems.h"
 #include "faultinject/churn.h"
 #include "faultinject/network_faults.h"
 #include "faultinject/twins.h"
@@ -318,29 +319,23 @@ TEST(TwinsHyperspace, DimensionsAndBaselinePoint) {
 }
 
 TEST(TwinsExecutor, BeyondFPointReportsSafetyViolation) {
-  core::PbftExecutorOptions options;
-  options.pbft.requestTimeout = sim::msec(400);
-  options.pbft.viewChangeTimeout = sim::msec(400);
-  options.link = sim::LinkModel{sim::msec(5), sim::usec(500)};
-  options.warmup = sim::msec(400);
-  options.measure = sim::sec(2);
-  options.baseSeed = 11;
-  core::PbftAttackExecutor executor(core::makeTwinsHyperspace(), options);
+  const auto executor = campaign::makeSystemExecutor("pbft-twins", 11);
+  ASSERT_NE(executor, nullptr);
 
   // twin_pairs=2, twin_first=0, activation 0, static parity, 10 clients.
-  const core::Outcome beyond = executor.execute({2, 0, 0, 0, 0, 0});
+  const core::Outcome beyond = executor->execute({2, 0, 0, 0, 0, 0});
   EXPECT_TRUE(beyond.safetyViolated);
   EXPECT_FALSE(beyond.safetyWitness.empty());
   EXPECT_EQ(beyond.safetyWitness.rfind("seq=", 0), 0u);
 
   // The all-baseline point runs twin-free and clean.
-  const core::Outcome baseline = executor.execute({0, 0, 0, 0, 0, 0});
+  const core::Outcome baseline = executor->execute({0, 0, 0, 0, 0, 0});
   EXPECT_FALSE(baseline.safetyViolated);
   EXPECT_TRUE(baseline.safetyWitness.empty());
   EXPECT_LT(baseline.impact, 0.2);
 
   // One pair stays within the bound regardless of the other dims.
-  const core::Outcome withinF = executor.execute({1, 0, 0, 0, 0, 0});
+  const core::Outcome withinF = executor->execute({1, 0, 0, 0, 0, 0});
   EXPECT_FALSE(withinF.safetyViolated);
 }
 

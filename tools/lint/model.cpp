@@ -557,10 +557,9 @@ std::string generateEventsHeader(const ProtocolModel& model) {
       "------\n"
       "//\n"
       "// The dedup-signature bands and the byte-stable journal field names.\n"
-      "// src/campaign/dedup.cpp, src/campaign/journal.cpp, and\n"
-      "// src/avd/report.cpp consume these; the values are part of the\n"
-      "// on-disk journal/classes format and must only change deliberately\n"
-      "// (regenerate + migrate).\n"
+      "// src/campaign/dedup.cpp and src/campaign/journal.cpp consume these;\n"
+      "// the values are part of the on-disk journal/classes format and must\n"
+      "// only change deliberately (regenerate + migrate).\n"
       "\n"
       "struct OutcomeBand {\n"
       "  std::string_view metric;      // journal field the band is over\n"
