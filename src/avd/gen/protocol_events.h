@@ -3,9 +3,9 @@
 // The runtime protocol-event taxonomy, extracted statically from the
 // message-kind enum and the protocol transitions of src/pbft/ +
 // src/sim/ (tools/lint/model.cpp). The `lint.gen` CTest regenerates
-// this header and fails on any drift, so instrumentation, the dedup
-// signature, and the future coverage map all key off one mechanical
-// inventory instead of three hand-maintained lists.
+// this header and fails on any drift, so instrumentation and the
+// coverage map key off one mechanical inventory instead of
+// hand-maintained lists.
 #pragma once
 
 #include <array>
@@ -93,49 +93,5 @@ inline constexpr std::array<ProtocolEventInfo, kProtocolEventCount>
 inline constexpr std::string_view protocolEventName(ProtocolEvent e) {
   return kProtocolEvents[static_cast<std::size_t>(e)].name;
 }
-
-// --- Outcome bands and journal keys ---------------------------------------
-//
-// The dedup-signature bands and the byte-stable journal field names.
-// src/campaign/dedup.cpp and src/campaign/journal.cpp consume these;
-// the values are part of the on-disk journal/classes format and must
-// only change deliberately (regenerate + migrate).
-
-struct OutcomeBand {
-  std::string_view metric;      // journal field the band is over
-  std::string_view dedupLabel;  // human label in signature strings
-  std::uint64_t lo;             // value <= lo  -> band 1
-  std::uint64_t hi;             // value <= hi  -> band 2, else 3
-  std::array<std::string_view, 4> bandNames;
-};
-
-inline constexpr OutcomeBand kViewChangeBand{
-    "viewChanges", "view changes", 3, 10, {{"none", "1-3", "4-10", ">10"}}};
-inline constexpr OutcomeBand kRestartBand{
-    "restarts", "restarts", 2, 8, {{"none", "1-2", "3-8", ">8"}}};
-inline constexpr OutcomeBand kResourceBand{
-    "queueDrops+quotaDrops", "resource drops", 100, 10000,
-    {{"none", "1-100", "101-10k", ">10k"}}};
-
-/// Band index of `value` under `band` (0 = none).
-inline constexpr int bandOf(const OutcomeBand& band, std::uint64_t value) {
-  if (value == 0) return 0;
-  if (value <= band.lo) return 1;
-  if (value <= band.hi) return 2;
-  return 3;
-}
-
-inline constexpr std::string_view kSafetyLabel = "SAFETY VIOLATED";
-
-inline constexpr std::string_view kJournalKeyViewChanges = "viewChanges";
-inline constexpr std::string_view kJournalKeyRestarts = "restarts";
-inline constexpr std::string_view kJournalKeyRecoveryLatencySec =
-    "recoveryLatencySec";
-inline constexpr std::string_view kJournalKeyQueueDrops = "queueDrops";
-inline constexpr std::string_view kJournalKeyQuotaDrops = "quotaDrops";
-/// Optional: only present on journal lines whose scenario violated
-/// safety (pre-twins journals never carry it and must keep decoding).
-inline constexpr std::string_view kJournalKeySafetyWitness =
-    "safetyWitness";
 
 }  // namespace avd::gen

@@ -5,8 +5,6 @@
 #include <cstdio>
 #include <map>
 
-#include "avd/gen/protocol_events.h"
-
 namespace avd::campaign {
 
 namespace {
@@ -22,11 +20,11 @@ void appendDouble(std::string& out, double value) {
   out += buffer;
 }
 
-void appendBand(std::string& out, const gen::OutcomeBand& band, int index) {
+void appendBand(std::string& out, const OutcomeBand& band, int index) {
   out += ", ";
-  out += band.dedupLabel;
+  out += band.label;
   out += " ";
-  out += band.bandNames[static_cast<std::size_t>(std::clamp(index, 0, 3))];
+  out += band.names[static_cast<std::size_t>(std::clamp(index, 0, 3))];
 }
 
 }  // namespace
@@ -36,10 +34,10 @@ VulnSignature signatureOf(const core::Hyperspace& space,
   VulnSignature signature;
   signature.impactBand = impactBandOf(record.outcome.impact);
   signature.viewChangeBand =
-      gen::bandOf(gen::kViewChangeBand, record.outcome.viewChanges);
-  signature.restartBand = gen::bandOf(gen::kRestartBand, record.outcome.restarts);
-  signature.resourceBand = gen::bandOf(
-      gen::kResourceBand, record.outcome.queueDrops + record.outcome.quotaDrops);
+      bandOf(kViewChangeBand, record.outcome.viewChanges);
+  signature.restartBand = bandOf(kRestartBand, record.outcome.restarts);
+  signature.resourceBand = bandOf(
+      kResourceBand, record.outcome.queueDrops + record.outcome.quotaDrops);
   signature.safetyViolated = record.outcome.safetyViolated;
   signature.activeDims.reserve(space.dimensionCount());
   for (std::size_t d = 0; d < space.dimensionCount(); ++d) {
@@ -55,7 +53,7 @@ std::string signatureLabel(const core::Hyperspace& space,
   std::string out;
   // Safety leads: a correctness break outranks any liveness/perf band.
   if (signature.safetyViolated) {
-    out += gen::kSafetyLabel;
+    out += kSafetyLabel;
     out += ", ";
   }
   out += "impact ";
@@ -67,12 +65,12 @@ std::string signatureLabel(const core::Hyperspace& space,
                ? "1.0"
                : "0." + std::to_string(signature.impactBand + 1);
   }
-  appendBand(out, gen::kViewChangeBand, signature.viewChangeBand);
+  appendBand(out, kViewChangeBand, signature.viewChangeBand);
   if (signature.restartBand > 0) {
-    appendBand(out, gen::kRestartBand, signature.restartBand);
+    appendBand(out, kRestartBand, signature.restartBand);
   }
   if (signature.resourceBand > 0) {
-    appendBand(out, gen::kResourceBand, signature.resourceBand);
+    appendBand(out, kResourceBand, signature.resourceBand);
   }
   out += ", dims {";
   bool first = true;
@@ -131,10 +129,6 @@ std::vector<VulnClass> dedupVulnerabilities(
 
 std::string vulnClassesJson(const core::Hyperspace& space,
                             const std::vector<VulnClass>& classes) {
-  const std::string restartsKey(gen::kJournalKeyRestarts);
-  const std::string recoveryKey(gen::kJournalKeyRecoveryLatencySec);
-  const std::string queueDropsKey(gen::kJournalKeyQueueDrops);
-  const std::string quotaDropsKey(gen::kJournalKeyQuotaDrops);
   std::string out = "[";
   for (std::size_t i = 0; i < classes.size(); ++i) {
     const VulnClass& cls = classes[i];
@@ -144,20 +138,21 @@ std::string vulnClassesJson(const core::Hyperspace& space,
            ", \"exemplarTest\": " + std::to_string(cls.exemplarTest) +
            ", \"impact\": ";
     appendDouble(out, cls.exemplar.outcome.impact);
-    out += ", \"" + restartsKey +
-           "\": " + std::to_string(cls.exemplar.outcome.restarts) + ", \"" +
-           recoveryKey + "\": ";
+    out += ", \"restarts\": ";
+    out += std::to_string(cls.exemplar.outcome.restarts);
+    out += ", \"recoveryLatencySec\": ";
     appendDouble(out, cls.exemplar.outcome.recoveryLatencySec);
-    out += ", \"" + queueDropsKey +
-           "\": " + std::to_string(cls.exemplar.outcome.queueDrops) + ", \"" +
-           quotaDropsKey +
-           "\": " + std::to_string(cls.exemplar.outcome.quotaDrops);
+    out += ", \"queueDrops\": ";
+    out += std::to_string(cls.exemplar.outcome.queueDrops);
+    out += ", \"quotaDrops\": ";
+    out += std::to_string(cls.exemplar.outcome.quotaDrops);
     // Witness only for safety classes, so non-safety reports keep the
     // pre-twins byte format. The format (pbft::formatSafetyWitness) uses
     // no quotes or backslashes, so plain quoting is JSON-safe.
     if (!cls.exemplar.outcome.safetyWitness.empty()) {
-      out += ", \"" + std::string(gen::kJournalKeySafetyWitness) + "\": \"" +
-             cls.exemplar.outcome.safetyWitness + "\"";
+      out += ", \"safetyWitness\": \"";
+      out += cls.exemplar.outcome.safetyWitness;
+      out += '"';
     }
     out += ", \"point\": {";
     for (std::size_t d = 0; d < space.dimensionCount(); ++d) {

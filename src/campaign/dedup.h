@@ -10,15 +10,44 @@
 // view of a fuzzing corpus).
 #pragma once
 
+#include <array>
 #include <compare>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "avd/controller.h"
 #include "avd/hyperspace.h"
 
 namespace avd::campaign {
+
+/// Bands of an outcome counter in a signature and its label. The edges and
+/// names are part of the classes.json format: change them only on purpose.
+struct OutcomeBand {
+  std::string_view label;  // e.g. "view changes"
+  std::uint64_t lo;        // value <= lo -> band 1
+  std::uint64_t hi;        // value <= hi -> band 2, else 3
+  std::array<std::string_view, 4> names;
+};
+
+inline constexpr OutcomeBand kViewChangeBand{
+    "view changes", 3, 10, {{"none", "1-3", "4-10", ">10"}}};
+inline constexpr OutcomeBand kRestartBand{
+    "restarts", 2, 8, {{"none", "1-2", "3-8", ">8"}}};
+inline constexpr OutcomeBand kResourceBand{
+    "resource drops", 100, 10000, {{"none", "1-100", "101-10k", ">10k"}}};
+
+/// Band index of `value` under `band` (0 = none).
+inline constexpr int bandOf(const OutcomeBand& band, std::uint64_t value) {
+  if (value == 0) return 0;
+  if (value <= band.lo) return 1;
+  if (value <= band.hi) return 2;
+  return 3;
+}
+
+/// Leads the label of a class whose scenarios violated safety.
+inline constexpr std::string_view kSafetyLabel = "SAFETY VIOLATED";
 
 /// The behavioral fingerprint of one executed scenario. Two scenarios with
 /// equal signatures are treated as the same vulnerability class.

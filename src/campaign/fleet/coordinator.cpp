@@ -45,11 +45,8 @@ struct Slot {
 }  // namespace
 
 FleetCoordinator::FleetCoordinator(FleetOptions options,
-                                   ExecutorFactory factory,
-                                   PluginFactory plugins)
-    : options_(std::move(options)),
-      factory_(std::move(factory)),
-      plugins_(std::move(plugins)) {
+                                   ExecutorFactory factory)
+    : options_(std::move(options)), factory_(std::move(factory)) {
   if (!factory_) throw std::runtime_error("fleet: null executor factory");
   if (options_.spawn + options_.remoteSlots == 0) {
     throw std::runtime_error("fleet: zero worker slots");
@@ -80,8 +77,7 @@ CampaignResult FleetCoordinator::run() {
   manifest.batch = options_.batch;
   manifest.spawn = options_.spawn;
   manifest.heartbeatMs = options_.heartbeatMs;
-  Ledger ledger =
-      Ledger::fresh(factory_, plugins_, options_.campaign, manifest);
+  Ledger ledger = Ledger::fresh(factory_, options_.campaign, manifest);
   // A fresh campaign truncates the journal, so shards from whatever
   // campaign previously lived here are stale history that a later
   // --resume would wrongly merge. Remove them now.
@@ -92,7 +88,7 @@ CampaignResult FleetCoordinator::run() {
 }
 
 CampaignResult FleetCoordinator::resume() {
-  Ledger ledger = Ledger::resume(factory_, plugins_, options_.campaign);
+  Ledger ledger = Ledger::resume(factory_, options_.campaign);
   const Manifest& manifest = ledger.manifest();
   const std::string& dir = ledger.options().outDir;
   if (manifest.mode != "fleet") {
@@ -267,13 +263,16 @@ CampaignResult FleetCoordinator::drive(Ledger& ledger, MergedShards shards) {
       case MessageKind::kHeartbeat:
         return decodeHeartbeat(payload).has_value();
       case MessageKind::kOutcome: {
+        // A worker reports the one test it holds (only an active slot
+        // holds one) and nothing else: any other outcome is forged or out
+        // of sync, and is not folded.
         const auto event = decodeLine(payload);
-        if (!event || event->kind != JournalEvent::Kind::kDone) return false;
-        const std::uint64_t test = event->done.test;
-        if (slot.assigned == test) {
-          slot.assigned = 0;
-          slot.wedgeAt = kNever;
+        if (!event || event->kind != JournalEvent::Kind::kDone ||
+            slot.assigned == 0 || event->done.test != slot.assigned) {
+          return false;
         }
+        slot.assigned = 0;
+        slot.wedgeAt = kNever;
         slot.backoffMs = 0;  // a delivered outcome resets the backoff ladder
         ledger.report(event->done);
         return true;

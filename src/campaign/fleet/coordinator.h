@@ -54,7 +54,7 @@ using Launcher =
 
 struct FleetOptions {
   /// seed / totalTests / outDir / system / checkpointEvery /
-  /// scenarioTimeoutMs / dedupMinImpact / controller are honored;
+  /// scenarioTimeoutMs / dedupMinImpact are honored;
   /// `workers` is derived as spawn + remoteSlots.
   CampaignOptions campaign;
   /// Locally spawned workers (via `launcher`).
@@ -97,8 +97,7 @@ class FleetCoordinator {
  public:
   /// Binds the TCP listener when remoteSlots > 0 (throws on failure), so
   /// listenPort() is valid before run()/resume() starts.
-  FleetCoordinator(FleetOptions options, ExecutorFactory factory,
-                   PluginFactory plugins = {});
+  FleetCoordinator(FleetOptions options, ExecutorFactory factory);
   ~FleetCoordinator();
 
   /// Fresh campaign; writes a mode="fleet" manifest when outDir is set.
@@ -117,7 +116,6 @@ class FleetCoordinator {
 
   FleetOptions options_;
   ExecutorFactory factory_;
-  PluginFactory plugins_;
   std::optional<util::TcpListener> listener_;
 };
 

@@ -11,7 +11,6 @@
 #include <system_error>
 #include <tuple>
 
-#include "avd/gen/protocol_events.h"
 #include "campaign/jsonval.h"
 
 namespace avd::campaign {
@@ -92,8 +91,7 @@ std::string outcomeDefect(const core::Outcome& outcome) {
       {"impact", outcome.impact, 1.0},
       {"throughputRps", outcome.throughputRps, kFinite},
       {"avgLatencySec", outcome.avgLatencySec, kFinite},
-      {gen::kJournalKeyRecoveryLatencySec, outcome.recoveryLatencySec,
-       kFinite},
+      {"recoveryLatencySec", outcome.recoveryLatencySec, kFinite},
   };
   for (const auto& [key, value, most] : ranges) {
     if (value >= 0.0 && value <= most) continue;
@@ -149,19 +147,19 @@ std::string encodeDone(const DoneEvent& event) {
   appendKey(out, "avgLatencySec");
   appendDouble(out, event.outcome.avgLatencySec);
   out += ',';
-  appendKey(out, gen::kJournalKeyViewChanges);
+  appendKey(out, "viewChanges");
   out += std::to_string(event.outcome.viewChanges);
   out += ',';
-  appendKey(out, gen::kJournalKeyRestarts);
+  appendKey(out, "restarts");
   out += std::to_string(event.outcome.restarts);
   out += ',';
-  appendKey(out, gen::kJournalKeyRecoveryLatencySec);
+  appendKey(out, "recoveryLatencySec");
   appendDouble(out, event.outcome.recoveryLatencySec);
   out += ',';
-  appendKey(out, gen::kJournalKeyQueueDrops);
+  appendKey(out, "queueDrops");
   out += std::to_string(event.outcome.queueDrops);
   out += ',';
-  appendKey(out, gen::kJournalKeyQuotaDrops);
+  appendKey(out, "quotaDrops");
   out += std::to_string(event.outcome.quotaDrops);
   out += ',';
   appendKey(out, "safetyViolated");
@@ -171,7 +169,7 @@ std::string encodeDone(const DoneEvent& event) {
   // pre-twins byte format, so resumed pre-twins journals re-encode
   // byte-identically.
   if (!event.outcome.safetyWitness.empty()) {
-    appendKey(out, gen::kJournalKeySafetyWitness);
+    appendKey(out, "safetyWitness");
     appendEscaped(out, event.outcome.safetyWitness);
     out += ',';
   }
@@ -219,18 +217,16 @@ std::string encodeDone(const DoneEvent& event) {
     const auto bestImpact = getDouble(line, "bestImpact");
     const auto throughputRps = getDouble(line, "throughputRps");
     const auto avgLatencySec = getDouble(line, "avgLatencySec");
-    const auto viewChanges = getU64(line, gen::kJournalKeyViewChanges);
+    const auto viewChanges = getU64(line, "viewChanges");
     // Absent in journals written before churn support; default to zero so
     // those campaigns remain resumable.
-    const auto restarts = getU64(line, gen::kJournalKeyRestarts, 0);
-    const auto recoveryLatencySec =
-        getDouble(line, gen::kJournalKeyRecoveryLatencySec, 0.0);
+    const auto restarts = getU64(line, "restarts", 0);
+    const auto recoveryLatencySec = getDouble(line, "recoveryLatencySec", 0.0);
     // Absent in journals written before flood support; same treatment.
-    const auto queueDrops = getU64(line, gen::kJournalKeyQueueDrops, 0);
-    const auto quotaDrops = getU64(line, gen::kJournalKeyQuotaDrops, 0);
+    const auto queueDrops = getU64(line, "queueDrops", 0);
+    const auto quotaDrops = getU64(line, "quotaDrops", 0);
     // Absent on non-violating lines and in pre-twins journals.
-    const auto safetyWitness =
-        getString(line, gen::kJournalKeySafetyWitness, "");
+    const auto safetyWitness = getString(line, "safetyWitness", "");
     const auto safetyViolated = getBool(line, "safetyViolated");
     const auto failed = getBool(line, "failed");
     const auto timedOut = getBool(line, "timedOut");

@@ -10,8 +10,7 @@
 
 namespace avd::campaign {
 
-Ledger::Ledger(const ExecutorFactory& factory, const PluginFactory& plugins,
-               CampaignOptions options)
+Ledger::Ledger(const ExecutorFactory& factory, CampaignOptions options)
     : options_(std::move(options)), executor_(factory()) {
   if (!executor_) {
     throw std::runtime_error("campaign: executor factory returned null");
@@ -19,14 +18,13 @@ Ledger::Ledger(const ExecutorFactory& factory, const PluginFactory& plugins,
   if (options_.checkpointEvery == 0) options_.checkpointEvery = 16;
   const core::Hyperspace& space = executor_->space();
   controller_ = std::make_unique<core::Controller>(
-      *executor_, plugins ? plugins(space) : core::defaultPlugins(space),
-      options_.controller, options_.seed);
+      *executor_, core::defaultPlugins(space), core::ControllerOptions{},
+      options_.seed);
 }
 
-Ledger Ledger::fresh(const ExecutorFactory& factory,
-                     const PluginFactory& plugins, CampaignOptions options,
+Ledger Ledger::fresh(const ExecutorFactory& factory, CampaignOptions options,
                      Manifest manifest) {
-  Ledger ledger(factory, plugins, std::move(options));
+  Ledger ledger(factory, std::move(options));
   const CampaignOptions& opts = ledger.options_;
   manifest.system = opts.system;
   manifest.seed = opts.seed;
@@ -47,7 +45,7 @@ Ledger Ledger::fresh(const ExecutorFactory& factory,
 }
 
 Ledger Ledger::resume(const ExecutorFactory& factory,
-                      const PluginFactory& plugins, CampaignOptions options) {
+                      CampaignOptions options) {
   const std::string dir = options.outDir;
   if (dir.empty()) throw std::runtime_error("campaign: resume requires outDir");
   const auto manifest = loadManifest(dir);
@@ -68,7 +66,7 @@ Ledger Ledger::resume(const ExecutorFactory& factory,
     throw std::runtime_error("campaign: corrupt journal in '" + dir + "'");
   }
 
-  Ledger ledger(factory, plugins, std::move(options));
+  Ledger ledger(factory, std::move(options));
   ledger.manifest_ = *manifest;
   ReplayState replayed = replayJournal(*ledger.controller_, loaded->events);
   ledger.nextTest_ = replayed.nextTest;

@@ -34,8 +34,7 @@ class Ledger {
   /// writes `manifest` (the driver's fields; system, seed, budget, cadence
   /// and timeout come from `options`) and truncates the journal. Throws
   /// std::runtime_error on I/O failure.
-  static Ledger fresh(const ExecutorFactory& factory,
-                      const PluginFactory& plugins, CampaignOptions options,
+  static Ledger fresh(const ExecutorFactory& factory, CampaignOptions options,
                       Manifest manifest);
 
   /// The campaign in options.outDir. Its manifest's seed, budget, cadence,
@@ -46,7 +45,7 @@ class Ledger {
   /// std::runtime_error when the directory is missing, corrupt, or diverges
   /// from deterministic replay.
   static Ledger resume(const ExecutorFactory& factory,
-                       const PluginFactory& plugins, CampaignOptions options);
+                       CampaignOptions options);
 
   const CampaignOptions& options() const noexcept { return options_; }
   const Manifest& manifest() const noexcept { return manifest_; }
@@ -86,8 +85,7 @@ class Ledger {
   CampaignResult finish();
 
  private:
-  Ledger(const ExecutorFactory& factory, const PluginFactory& plugins,
-         CampaignOptions options);
+  Ledger(const ExecutorFactory& factory, CampaignOptions options);
 
   void append(const std::string& line);
   void topUp();

@@ -84,10 +84,8 @@ DoneEvent executeChecked(core::ScenarioExecutor& executor, std::uint64_t test,
 }
 
 CampaignRunner::CampaignRunner(ExecutorFactory factory,
-                               CampaignOptions options, PluginFactory plugins)
-    : factory_(std::move(factory)),
-      options_(std::move(options)),
-      plugins_(std::move(plugins)) {
+                               CampaignOptions options)
+    : factory_(std::move(factory)), options_(std::move(options)) {
   if (!factory_) throw std::runtime_error("campaign: null executor factory");
   if (options_.workers == 0) options_.workers = 1;
 }
@@ -103,8 +101,7 @@ CampaignResult CampaignRunner::runOnThreads(bool resuming) {
       [factory = factory_](const std::string&, std::uint64_t) {
         return factory();
       });
-  fleet::FleetCoordinator coordinator(std::move(fleetOptions), factory_,
-                                      plugins_);
+  fleet::FleetCoordinator coordinator(std::move(fleetOptions), factory_);
   return resuming ? coordinator.resume() : coordinator.run();
 }
 
@@ -112,7 +109,7 @@ CampaignResult CampaignRunner::run() {
   if (options_.workers > 1 || options_.scenarioTimeoutMs > 0) {
     return runOnThreads(false);
   }
-  Ledger ledger = Ledger::fresh(factory_, plugins_, options_, Manifest{});
+  Ledger ledger = Ledger::fresh(factory_, options_, Manifest{});
   return driveSerial(ledger);
 }
 
@@ -122,7 +119,7 @@ CampaignResult CampaignRunner::resume() {
     const auto manifest = loadManifest(options_.outDir);
     if (manifest && manifest->mode == "fleet") return runOnThreads(true);
   }
-  Ledger ledger = Ledger::resume(factory_, plugins_, options_);
+  Ledger ledger = Ledger::resume(factory_, options_);
   return driveSerial(ledger);
 }
 

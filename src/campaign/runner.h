@@ -50,10 +50,6 @@ namespace avd::campaign {
 using ExecutorFactory =
     std::function<std::unique_ptr<core::ScenarioExecutor>()>;
 
-/// Optional plugin-set override; defaults to core::defaultPlugins.
-using PluginFactory =
-    std::function<std::vector<core::PluginPtr>(const core::Hyperspace&)>;
-
 struct CampaignOptions {
   std::uint64_t seed = 2011;
   std::size_t totalTests = 100;
@@ -73,7 +69,6 @@ struct CampaignOptions {
   /// Minimum impact for a scenario to enter vulnerability triage; a
   /// scenario with a SAFETY verdict enters at any impact.
   double dedupMinImpact = 0.5;
-  core::ControllerOptions controller;
 };
 
 struct CampaignResult {
@@ -130,8 +125,7 @@ DoneEvent executeChecked(core::ScenarioExecutor& executor, std::uint64_t test,
 
 class CampaignRunner {
  public:
-  CampaignRunner(ExecutorFactory factory, CampaignOptions options,
-                 PluginFactory plugins = {});
+  CampaignRunner(ExecutorFactory factory, CampaignOptions options);
 
   /// Fresh campaign. Creates/truncates the campaign directory files when
   /// options.outDir is set. Throws std::runtime_error on I/O failure.
@@ -154,7 +148,6 @@ class CampaignRunner {
 
   ExecutorFactory factory_;
   CampaignOptions options_;
-  PluginFactory plugins_;
 };
 
 }  // namespace avd::campaign

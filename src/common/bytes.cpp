@@ -45,15 +45,4 @@ std::optional<std::string> ByteReader::str() {
   return std::string(raw->begin(), raw->end());
 }
 
-std::string toHex(std::span<const std::uint8_t> data) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(data.size() * 2);
-  for (std::uint8_t b : data) {
-    out.push_back(kDigits[b >> 4]);
-    out.push_back(kDigits[b & 0xF]);
-  }
-  return out;
-}
-
 }  // namespace avd::util

@@ -88,7 +88,4 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-/// Hex rendering for logs and golden tests.
-std::string toHex(std::span<const std::uint8_t> data);
-
 }  // namespace avd::util

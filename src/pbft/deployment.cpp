@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "common/hash.h"
-#include "common/stats.h"
 
 namespace avd::pbft {
 
@@ -130,8 +129,6 @@ RunResult Deployment::collect() const {
   const double windowSeconds = sim::toSeconds(config_.measure);
 
   double latencySum = 0.0;
-  std::uint64_t latencyCount = 0;
-  util::SampleSet latencies;
   for (std::uint32_t i = 0; i < config_.correctClients; ++i) {
     const Client& client = *clients_[config_.maliciousClients + i];
     for (const Client::Completion& completion : client.completions()) {
@@ -139,14 +136,9 @@ RunResult Deployment::collect() const {
         continue;
       }
       ++result.correctCompleted;
-      const double latencySec = sim::toSeconds(completion.latency);
-      latencySum += latencySec;
-      latencies.add(latencySec);
-      ++latencyCount;
+      latencySum += sim::toSeconds(completion.latency);
     }
   }
-  result.p50LatencySec = latencies.percentile(50);
-  result.p99LatencySec = latencies.percentile(99);
   for (std::uint32_t i = 0; i < config_.maliciousClients; ++i) {
     const Client& client = *clients_[i];
     for (const Client::Completion& completion : client.completions()) {
@@ -161,7 +153,9 @@ RunResult Deployment::collect() const {
           ? static_cast<double>(result.correctCompleted) / windowSeconds
           : 0.0;
   result.avgLatencySec =
-      latencyCount > 0 ? latencySum / static_cast<double>(latencyCount) : 0.0;
+      result.correctCompleted > 0
+          ? latencySum / static_cast<double>(result.correctCompleted)
+          : 0.0;
 
   for (const auto& replica : replicas_) {
     result.viewChangesInitiated += replica->stats().viewChangesInitiated;

@@ -72,9 +72,6 @@ struct RunResult {
   double throughputRps = 0.0;
   /// Mean completion latency of correct-client requests (seconds).
   double avgLatencySec = 0.0;
-  /// Latency percentiles of correct-client requests (seconds).
-  double p50LatencySec = 0.0;
-  double p99LatencySec = 0.0;
   std::uint64_t correctCompleted = 0;
   std::uint64_t maliciousCompleted = 0;
   std::uint64_t viewChangesInitiated = 0;

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "common/hash.h"
-#include "common/logging.h"
 
 namespace avd::pbft {
 
@@ -1257,11 +1256,13 @@ void Replica::onStateResponse(util::NodeId from,
     return;
   }
 
+  // The digest is checked on the restored service; a snapshot that does
+  // not match puts our own state back, so unverified state never stays.
+  const util::Bytes ownState = service_->snapshot();
   service_->restore(response.snapshot);
   if (util::hashCombine(service_->stateDigest(), response.seq) !=
       response.stateDigest) {
-    AVD_LOG_WARN("replica %u: state transfer digest mismatch from %u", id(),
-                 from);
+    service_->restore(ownState);
     return;
   }
 

@@ -6,9 +6,12 @@
 #include <map>
 #include <memory>
 
+#include "common/bytes.h"
+#include "common/hash.h"
 #include "crypto/keychain.h"
 #include "pbft/message.h"
 #include "pbft/replica.h"
+#include "pbft/service.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
 
@@ -186,6 +189,51 @@ TEST(CheckpointConformance, QuorumBeyondOurExecutionTriggersStateRequest) {
             .size();
   }
   EXPECT_EQ(stateRequests, 1u) << "exactly one transfer request, to a voter";
+}
+
+TEST(CheckpointConformance, MismatchedStateSnapshotLeavesOwnStateIntact) {
+  Harness h;
+  // The quorum certifies the digest of a counter at 5, taken at seq 8.
+  util::ByteWriter certified;
+  certified.u64(5);
+  CounterService reference;
+  reference.restore(certified.bytes());
+  const std::uint64_t digest =
+      util::hashCombine(reference.stateDigest(), std::uint64_t{8});
+  for (util::NodeId voter : {0u, 2u, 3u}) {
+    h.probes[voter]->send(1, h.makeCheckpoint(8, digest, voter));
+  }
+  h.settle();
+  ASSERT_EQ(h.probes[0]
+                ->received<StateRequestMessage>(MsgKind::kStateRequest)
+                .size(),
+            1u);
+
+  auto respond = [&](std::uint64_t counter) {
+    util::ByteWriter snapshot;
+    snapshot.u64(counter);
+    auto response = std::make_shared<StateResponseMessage>();
+    response->seq = 8;
+    response->stateDigest = digest;
+    response->snapshot = snapshot.take();
+    response->replica = 0;
+    crypto::MacService macs(0, &h.keychain);
+    response->mac = macs.generate(1, stateResponseDigest(*response));
+    h.probes[0]->send(1, response);
+    h.settle();
+  };
+
+  // Voter 0 claims the certified digest for a snapshot that lacks it.
+  const std::uint64_t before = h.replica->service().stateDigest();
+  respond(77);
+  EXPECT_EQ(h.replica->service().stateDigest(), before)
+      << "an unverified snapshot must not stay in the live service";
+  EXPECT_EQ(h.replica->lastExecuted(), 0u);
+
+  // The certified snapshot is still adopted.
+  respond(5);
+  EXPECT_EQ(h.replica->lastExecuted(), 8u);
+  EXPECT_EQ(h.replica->service().stateDigest(), reference.stateDigest());
 }
 
 TEST(CheckpointConformance, SyncAttestationsExecuteWithFPlusOne) {

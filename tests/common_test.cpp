@@ -11,7 +11,6 @@
 #include "common/hash.h"
 #include "common/levenshtein.h"
 #include "common/rng.h"
-#include "common/stats.h"
 
 namespace avd::util {
 namespace {
@@ -247,12 +246,6 @@ TEST(Bytes, BlobLengthBeyondBufferFails) {
   EXPECT_TRUE(reader.blob() == std::nullopt);
 }
 
-TEST(Bytes, ToHex) {
-  const Bytes data{0x00, 0xFF, 0x1A};
-  EXPECT_EQ(toHex(data), "00ff1a");
-  EXPECT_EQ(toHex(Bytes{}), "");
-}
-
 // --- Hash ----------------------------------------------------------------------
 
 TEST(Hash, Fnv1aMatchesReferenceVectors) {
@@ -266,24 +259,6 @@ TEST(Hash, CombineIsOrderSensitive) {
   const std::uint64_t ab = hashCombine(hashCombine(0, 1), 2);
   const std::uint64_t ba = hashCombine(hashCombine(0, 2), 1);
   EXPECT_NE(ab, ba);
-}
-
-// --- Stats ---------------------------------------------------------------------
-
-TEST(SampleSet, PercentilesAreNearestRank) {
-  SampleSet samples;
-  for (int i = 1; i <= 100; ++i) samples.add(i);
-  EXPECT_DOUBLE_EQ(samples.percentile(50), 50.0);
-  EXPECT_DOUBLE_EQ(samples.percentile(99), 99.0);
-  EXPECT_DOUBLE_EQ(samples.percentile(100), 100.0);
-  EXPECT_DOUBLE_EQ(samples.percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(samples.median(), 50.0);
-}
-
-TEST(SampleSet, EmptyIsZero) {
-  const SampleSet samples;
-  EXPECT_DOUBLE_EQ(samples.percentile(50), 0.0);
-  EXPECT_DOUBLE_EQ(samples.mean(), 0.0);
 }
 
 }  // namespace

@@ -934,6 +934,53 @@ TEST(FleetTcp, RemoteWorkerConnectsOverLoopbackAndCompletesTheCampaign) {
   EXPECT_FALSE(result.aborted);
 }
 
+TEST(FleetTcp, OutcomeForATestTheWorkerDoesNotHoldIsNotFolded) {
+  // A rogue peer says hello, takes its assignment, reports a forged outcome
+  // for the next test and hangs up. An honest worker then connects and
+  // finishes the campaign.
+  FleetOptions options = ridgeFleetOptions(65, 16, 0, "");
+  options.remoteSlots = 2;
+  options.batch = 4;
+  FleetCoordinator coordinator(std::move(options), ridgeFactory());
+  const std::uint16_t port = coordinator.listenPort();
+  ASSERT_NE(port, 0);
+
+  std::thread peers([port] {
+    const auto rogue = util::connectTcp("127.0.0.1", port);
+    ASSERT_TRUE(rogue.has_value());
+    EXPECT_TRUE(util::writeFrame(*rogue, encodeHello(Hello{})));
+    std::optional<Assign> held;
+    while (!held) {
+      const auto frame = util::readFrame(*rogue);
+      if (!frame) break;
+      if (kindOf(*frame) == MessageKind::kAssign) held = decodeAssign(*frame);
+    }
+    EXPECT_TRUE(held.has_value());
+    DoneEvent forged;
+    forged.test = held ? held->test + 1 : 1;
+    forged.outcome.impact = 1.0;
+    forged.outcome.viewChanges = 7;  // RidgeExecutor never reports one
+    EXPECT_TRUE(util::writeFrame(*rogue, encodeDone(forged)));
+    util::closeFd(*rogue);
+
+    const auto honest = util::connectTcp("127.0.0.1", port);
+    ASSERT_TRUE(honest.has_value());
+    EXPECT_EQ(runWorker(*honest, ridgeWorkerFactory()), kWorkerExitClean);
+  });
+  const CampaignResult result = coordinator.run();
+  peers.join();
+  EXPECT_EQ(result.executed, 16u);
+  EXPECT_FALSE(result.aborted);
+  RidgeExecutor reference;
+  for (std::size_t i = 0; i < result.history.size(); ++i) {
+    const core::TestRecord& record = result.history[i];
+    const core::Outcome expected = reference.execute(record.point);
+    EXPECT_EQ(record.outcome.impact, expected.impact) << "test " << i + 1;
+    EXPECT_EQ(record.outcome.viewChanges, expected.viewChanges)
+        << "test " << i + 1;
+  }
+}
+
 TEST(FleetTcp, ListenTcpHonorsExplicitBindAddressAndRejectsGarbage) {
   const auto listener = util::listenTcp(0, "127.0.0.1");
   ASSERT_TRUE(listener.has_value());

@@ -1,6 +1,5 @@
 // Seeded violations for R2 `unchecked-parse`. NOT compiled — linted by
-// lint_test.cpp under the pretend path src/pbft/wire_fixture.cpp so the
-// wire-codec sub-rule applies too.
+// lint_test.cpp under the pretend path src/pbft/parse_fixture.cpp.
 #include <cstdint>
 #include <optional>
 
@@ -11,10 +10,6 @@ namespace fixture {
 std::optional<std::uint32_t> parseHeader();  // VIOLATION: no [[nodiscard]]
 
 [[nodiscard]] std::optional<std::uint32_t> parseFooter();  // ok
-
-bool getFrame(avd::util::ByteReader& reader);  // VIOLATION: wire get* decl
-
-[[nodiscard]] bool getTrailer(avd::util::ByteReader& reader);  // ok
 
 void skipHeader(avd::util::ByteReader& reader) {
   reader.u32();  // VIOLATION: parse result dropped, cursor still advances

@@ -107,9 +107,9 @@ TEST(LintR1, QualifiedNamesOutsideStdAreNotFlagged) {
 
 TEST(LintR2, FixtureSeedsDeclAndDiscardViolations) {
   const auto findings =
-      lintFixture("unchecked_parse.cc", "src/pbft/wire_fixture.cpp");
-  EXPECT_EQ(countRule(findings, "unchecked-parse"), 3u)
-      << "optional decl without nodiscard, get* decl, dropped reader.u32()";
+      lintFixture("unchecked_parse.cc", "src/pbft/parse_fixture.cpp");
+  EXPECT_EQ(countRule(findings, "unchecked-parse"), 2u)
+      << "optional decl without nodiscard, dropped reader.u32()";
 }
 
 TEST(LintR2, NodiscardDeclarationsPass) {
@@ -395,7 +395,7 @@ TEST(LintTokenizer, RawStringWithDelimiterIsSkipped) {
 // --- R9 tainted-size ---------------------------------------------------------
 
 TEST(LintR9, FixtureSeedsUnclampedReserveAndLoopBound) {
-  const auto findings = lintFixture("tainted_size.cc", "src/pbft/wire.cpp");
+  const auto findings = lintFixture("tainted_size.cc", "src/pbft/service.cpp");
   EXPECT_EQ(countRule(findings, "tainted-size"), 2u);
 }
 
@@ -409,7 +409,7 @@ TEST(LintR9, FloodToolSourcesAreCovered) {
 
 TEST(LintR9, ClampedAndRemainingValidatedFlowsAreClean) {
   const auto findings =
-      lintFixture("tainted_size_clean.cc", "src/pbft/wire.cpp");
+      lintFixture("tainted_size_clean.cc", "src/pbft/service.cpp");
   EXPECT_EQ(countRule(findings, "tainted-size"), 0u);
 }
 

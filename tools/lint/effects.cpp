@@ -219,7 +219,7 @@ std::string effectSetNames(unsigned mask) {
 
 bool designatedEffectModule(const std::string& path) {
   static const char* const kModules[] = {
-      "common/framing", "common/proc", "common/logging", "campaign/journal",
+      "common/framing", "common/proc", "campaign/journal",
       "campaign/fleet/shard"};
   for (const char* module : kModules) {
     if (path.find(module) != std::string::npos) return true;

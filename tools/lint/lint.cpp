@@ -1,7 +1,6 @@
 #include "lint.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -64,14 +63,12 @@ void ruleNondeterminism(Ctx& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// R2 `unchecked-parse` — wire parsing must be total and its results must be
-// impossible to ignore. Three checks:
+// R2 `unchecked-parse` — parse results must be impossible to ignore. Two
+// checks:
 //   (a) any function declaration returning std::optional must carry
 //       [[nodiscard]] (declaration-site enforcement);
 //   (b) a statement that calls a ByteReader accessor and drops the result
-//       (`reader.u32();`) silently desynchronizes the cursor;
-//   (c) in pbft wire codec files, every `get*` / `decode` parse function
-//       must be declared [[nodiscard]].
+//       (`reader.u32();`) silently desynchronizes the cursor.
 
 const std::set<std::string>& readerAccessors() {
   static const std::set<std::string> kAccessors = {
@@ -93,8 +90,6 @@ bool nodiscardBefore(const std::vector<Token>& toks, std::size_t i) {
 
 void ruleUncheckedParse(Ctx& ctx) {
   const auto& toks = ctx.toks;
-  const bool wireFile = ctx.path.find("pbft/wire") != std::string::npos;
-
   for (std::size_t i = 0; i < toks.size(); ++i) {
     if (!isIdent(toks, i)) continue;
     const std::string& name = toks[i].text;
@@ -132,24 +127,6 @@ void ruleUncheckedParse(Ctx& ctx) {
                    "result of " + toks[i - 2].text + "." + name +
                        "() is discarded; every ByteReader read must be "
                        "checked before use");
-      }
-      continue;
-    }
-
-    // (c) wire codec parse functions must be [[nodiscard]] at declaration.
-    if (wireFile &&
-        (name == "decode" || (name.size() > 3 && name.compare(0, 3, "get") == 0 &&
-                              std::isupper(static_cast<unsigned char>(name[3])))) &&
-        text(toks, i + 1) == "(" && i > 0 &&
-        (toks[i - 1].kind == TokKind::kIdent || toks[i - 1].text == ">" ||
-         toks[i - 1].text == "&" || toks[i - 1].text == "*")) {
-      const std::size_t afterParams = skipBalanced(toks, i + 1, "(", ")");
-      const std::string& next = text(toks, afterParams);
-      if ((next == "{" || next == ";") && !nodiscardBefore(toks, i)) {
-        ctx.report(i, "unchecked-parse",
-                   "wire parse function '" + name +
-                       "' must be [[nodiscard]]: ignoring a parse result "
-                       "accepts malformed input");
       }
     }
   }
@@ -676,7 +653,7 @@ void ruleSyscallDiscipline(const RepoIndex& index,
               {file.path, leaf.line, "syscall-discipline",
                "raw POSIX call '" + leaf.name +
                    "' outside the designated effect modules; route it "
-                   "through common/framing, common/proc, common/logging, "
+                   "through common/framing, common/proc, "
                    "campaign/journal, or campaign/fleet/shard",
                false});
         }
@@ -893,8 +870,8 @@ const std::vector<RuleInfo>& ruleRegistry() {
        "R1: no libc/chrono randomness or wall clocks outside common/rng; "
        "consensus paths must replay from a seed"},
       {"unchecked-parse",
-       "R2: std::optional-returning and wire parse functions are "
-       "[[nodiscard]]; ByteReader results must not be dropped"},
+       "R2: std::optional-returning functions are [[nodiscard]]; "
+       "ByteReader results must not be dropped"},
       {"uncapped-reserve",
        "R3: no reserve()/resize() on a parsed wire count without a "
        "compile-time kCap clamp"},
@@ -923,7 +900,7 @@ const std::vector<RuleInfo>& ruleRegistry() {
        "overflow, crash/rejoin) has a runtime counter emission site"},
       {"syscall-discipline",
        "R16: raw POSIX calls are confined to common/framing, common/proc, "
-       "common/logging, campaign/journal, and campaign/fleet/shard; every "
+       "campaign/journal, and campaign/fleet/shard; every "
        "interruptible call checks its result and retries on EINTR"},
       {"durability-ordering",
        "R17: journal/shard/checkpoint writers order write -> fsync -> "

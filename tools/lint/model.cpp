@@ -504,9 +504,9 @@ std::string generateEventsHeader(const ProtocolModel& model) {
       "// The runtime protocol-event taxonomy, extracted statically from the\n"
       "// message-kind enum and the protocol transitions of src/pbft/ +\n"
       "// src/sim/ (tools/lint/model.cpp). The `lint.gen` CTest regenerates\n"
-      "// this header and fails on any drift, so instrumentation, the dedup\n"
-      "// signature, and the future coverage map all key off one mechanical\n"
-      "// inventory instead of three hand-maintained lists.\n"
+      "// this header and fails on any drift, so instrumentation and the\n"
+      "// coverage map key off one mechanical inventory instead of\n"
+      "// hand-maintained lists.\n"
       "#pragma once\n"
       "\n"
       "#include <array>\n"
@@ -552,60 +552,6 @@ std::string generateEventsHeader(const ProtocolModel& model) {
       "inline constexpr std::string_view protocolEventName(ProtocolEvent e) {\n"
       "  return kProtocolEvents[static_cast<std::size_t>(e)].name;\n"
       "}\n"
-      "\n"
-      "// --- Outcome bands and journal keys ---------------------------------"
-      "------\n"
-      "//\n"
-      "// The dedup-signature bands and the byte-stable journal field names.\n"
-      "// src/campaign/dedup.cpp and src/campaign/journal.cpp consume these;\n"
-      "// the values are part of the on-disk journal/classes format and must\n"
-      "// only change deliberately (regenerate + migrate).\n"
-      "\n"
-      "struct OutcomeBand {\n"
-      "  std::string_view metric;      // journal field the band is over\n"
-      "  std::string_view dedupLabel;  // human label in signature strings\n"
-      "  std::uint64_t lo;             // value <= lo  -> band 1\n"
-      "  std::uint64_t hi;             // value <= hi  -> band 2, else 3\n"
-      "  std::array<std::string_view, 4> bandNames;\n"
-      "};\n"
-      "\n"
-      "inline constexpr OutcomeBand kViewChangeBand{\n"
-      "    \"viewChanges\", \"view changes\", 3, 10, "
-      "{{\"none\", \"1-3\", \"4-10\", \">10\"}}};\n"
-      "inline constexpr OutcomeBand kRestartBand{\n"
-      "    \"restarts\", \"restarts\", 2, 8, "
-      "{{\"none\", \"1-2\", \"3-8\", \">8\"}}};\n"
-      "inline constexpr OutcomeBand kResourceBand{\n"
-      "    \"queueDrops+quotaDrops\", \"resource drops\", 100, 10000,\n"
-      "    {{\"none\", \"1-100\", \"101-10k\", \">10k\"}}};\n"
-      "\n"
-      "/// Band index of `value` under `band` (0 = none).\n"
-      "inline constexpr int bandOf(const OutcomeBand& band, "
-      "std::uint64_t value) {\n"
-      "  if (value == 0) return 0;\n"
-      "  if (value <= band.lo) return 1;\n"
-      "  if (value <= band.hi) return 2;\n"
-      "  return 3;\n"
-      "}\n"
-      "\n"
-      "inline constexpr std::string_view kSafetyLabel = \"SAFETY "
-      "VIOLATED\";\n"
-      "\n"
-      "inline constexpr std::string_view kJournalKeyViewChanges = "
-      "\"viewChanges\";\n"
-      "inline constexpr std::string_view kJournalKeyRestarts = "
-      "\"restarts\";\n"
-      "inline constexpr std::string_view kJournalKeyRecoveryLatencySec =\n"
-      "    \"recoveryLatencySec\";\n"
-      "inline constexpr std::string_view kJournalKeyQueueDrops = "
-      "\"queueDrops\";\n"
-      "inline constexpr std::string_view kJournalKeyQuotaDrops = "
-      "\"quotaDrops\";\n"
-      "/// Optional: only present on journal lines whose scenario violated\n"
-      "/// safety (pre-twins journals never carry it and must keep "
-      "decoding).\n"
-      "inline constexpr std::string_view kJournalKeySafetyWitness =\n"
-      "    \"safetyWitness\";\n"
       "\n"
       "}  // namespace avd::gen\n";
   return out;
