@@ -44,6 +44,16 @@ struct Slot {
 
 }  // namespace
 
+void restoreShape(const Manifest& manifest, FleetOptions& options) {
+  options.spawn = static_cast<std::size_t>(
+      std::min<std::uint64_t>(manifest.spawn, manifest.workers));
+  options.remoteSlots =
+      static_cast<std::size_t>(manifest.workers) - options.spawn;
+  options.batch =
+      std::max<std::size_t>(1, static_cast<std::size_t>(manifest.batch));
+  options.heartbeatMs = manifest.heartbeatMs ? manifest.heartbeatMs : 200;
+}
+
 FleetCoordinator::FleetCoordinator(FleetOptions options,
                                    ExecutorFactory factory)
     : options_(std::move(options)), factory_(std::move(factory)) {
@@ -88,22 +98,15 @@ CampaignResult FleetCoordinator::run() {
 }
 
 CampaignResult FleetCoordinator::resume() {
-  Ledger ledger = Ledger::resume(factory_, options_.campaign);
-  const Manifest& manifest = ledger.manifest();
-  const std::string& dir = ledger.options().outDir;
-  if (manifest.mode != "fleet") {
+  const std::string& dir = options_.campaign.outDir;
+  Ledger ledger = Ledger::resume(factory_, dir);
+  if (ledger.manifest().mode != "fleet") {
     throw std::runtime_error(
         "fleet: '" + dir + "' holds a single-process campaign; resume it "
         "with `avd_cli campaign --resume`");
   }
   // The manifest's fleet shape re-creates the window L = batch * workers.
-  options_.batch =
-      std::max<std::size_t>(1, static_cast<std::size_t>(manifest.batch));
-  options_.heartbeatMs = manifest.heartbeatMs ? manifest.heartbeatMs : 200;
-  options_.spawn = static_cast<std::size_t>(
-      std::min<std::uint64_t>(manifest.spawn, manifest.workers));
-  options_.remoteSlots =
-      static_cast<std::size_t>(manifest.workers) - options_.spawn;
+  restoreShape(ledger.manifest(), options_);
   if (options_.remoteSlots > 0 && !listener_) {
     listener_ = util::listenTcp(options_.bindPort, options_.bindAddr);
   }
@@ -255,13 +258,21 @@ CampaignResult FleetCoordinator::drive(Ledger& ledger, MergedShards shards) {
   const auto handleFrame = [&](std::size_t index, const std::string& payload,
                                WatchClock::time_point now) -> bool {
     Slot& slot = slots[index];
+    if (slot.phase == Slot::Phase::kConnecting) {
+      // A connecting slot takes exactly one frame, a hello of this
+      // protocol's version: a peer that skips it cannot hold the slot past
+      // the connect deadline.
+      const auto hello = kindOf(payload) == MessageKind::kHello
+                             ? decodeHello(payload)
+                             : std::nullopt;
+      if (!hello || hello->version != kProtocolVersion) return false;
+      activate(index, now);
+      return slot.phase == Slot::Phase::kActive;
+    }
     slot.lastHeard = now;
     switch (kindOf(payload)) {
-      case MessageKind::kHello:
-        if (slot.phase == Slot::Phase::kConnecting) activate(index, now);
-        return slot.phase == Slot::Phase::kActive;
       case MessageKind::kHeartbeat:
-        return decodeHeartbeat(payload).has_value();
+        return true;
       case MessageKind::kOutcome: {
         // A worker reports the one test it holds (only an active slot
         // holds one) and nothing else: any other outcome is forged or out

@@ -93,6 +93,13 @@ struct FleetOptions {
   std::atomic<bool>* drainFlag = nullptr;
 };
 
+/// The fleet shape `manifest` records — spawned and remote slots, batch and
+/// heartbeat, which FleetCoordinator::run records — set on `options`.
+/// FleetCoordinator::resume applies it; a caller that must know the shape
+/// before it constructs the coordinator, which binds the TCP listener of
+/// the remote slots, applies it first.
+void restoreShape(const Manifest& manifest, FleetOptions& options);
+
 class FleetCoordinator {
  public:
   /// Binds the TCP listener when remoteSlots > 0 (throws on failure), so
@@ -102,7 +109,8 @@ class FleetCoordinator {
 
   /// Fresh campaign; writes a mode="fleet" manifest when outDir is set.
   CampaignResult run();
-  /// Continues a fleet campaign directory: journal replay + shard merge.
+  /// Continues the fleet campaign in campaign.outDir with the options and
+  /// the shape its manifest records: journal replay + shard merge.
   CampaignResult resume();
 
   /// Loopback port remote workers should connect to; 0 when not listening.

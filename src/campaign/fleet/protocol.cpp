@@ -66,16 +66,7 @@ std::string encodeAssign(const Assign& assign) {
   return out;
 }
 
-std::string encodeHeartbeat(const Heartbeat& heartbeat) {
-  std::string out = "{\"event\":\"heartbeat\",";
-  appendKey(out, "busyTest");
-  out += std::to_string(heartbeat.busyTest);
-  out += ',';
-  appendKey(out, "busyMs");
-  out += std::to_string(heartbeat.busyMs);
-  out += '}';
-  return out;
-}
+std::string encodeHeartbeat() { return "{\"event\":\"heartbeat\"}"; }
 
 std::string encodeShutdown() { return "{\"event\":\"shutdown\"}"; }
 
@@ -115,17 +106,6 @@ std::string encodeShutdown() { return "{\"event\":\"shutdown\"}"; }
   assign.test = *test;
   assign.point = *point;
   return assign;
-}
-
-[[nodiscard]] std::optional<Heartbeat> decodeHeartbeat(
-    std::string_view payload) {
-  const auto busyTest = getU64(payload, "busyTest");
-  const auto busyMs = getU64(payload, "busyMs");
-  if (!busyTest || !busyMs) return std::nullopt;
-  Heartbeat heartbeat;
-  heartbeat.busyTest = *busyTest;
-  heartbeat.busyMs = *busyMs;
-  return heartbeat;
 }
 
 }  // namespace avd::campaign::fleet

@@ -37,7 +37,9 @@ enum class MessageKind {
 /// unparseable — the peer is desynchronized or corrupt.
 [[nodiscard]] MessageKind kindOf(std::string_view payload);
 
-/// First frame a worker sends after connecting.
+/// First frame a worker sends after connecting. The coordinator closes a
+/// connecting worker whose first frame is anything else, or whose version
+/// is not kProtocolVersion.
 struct Hello {
   std::uint64_t version = kProtocolVersion;
 };
@@ -61,25 +63,16 @@ struct Assign {
   core::Point point;
 };
 
-/// Periodic liveness beacon. `busyTest` is 0 when idle; `busyMs` is how
-/// long the current scenario has been executing, so the coordinator can
-/// tell a wedged scenario (beating heart, growing busyMs) from a dead
-/// process (silence).
-struct Heartbeat {
-  std::uint64_t busyTest = 0;
-  std::uint64_t busyMs = 0;
-};
-
 std::string encodeHello(const Hello& hello);
 std::string encodeWelcome(const Welcome& welcome);
 std::string encodeAssign(const Assign& assign);
-std::string encodeHeartbeat(const Heartbeat& heartbeat);
+/// Liveness beacon and nothing else: the coordinator catches a wedged
+/// scenario by its own assign-time deadline, and a dead worker by silence.
+std::string encodeHeartbeat();
 std::string encodeShutdown();
 
 [[nodiscard]] std::optional<Hello> decodeHello(std::string_view payload);
 [[nodiscard]] std::optional<Welcome> decodeWelcome(std::string_view payload);
 [[nodiscard]] std::optional<Assign> decodeAssign(std::string_view payload);
-[[nodiscard]] std::optional<Heartbeat> decodeHeartbeat(
-    std::string_view payload);
 
 }  // namespace avd::campaign::fleet

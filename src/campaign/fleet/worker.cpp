@@ -14,25 +14,6 @@
 
 namespace avd::campaign::fleet {
 
-namespace {
-
-// Heartbeats and busy-time measurement are operational liveness signals,
-// never exploration state: they decide when the coordinator gives up on
-// this process, not which scenarios run or what they produce.
-// avd-lint: allow(nondeterminism)
-using BeatClock = std::chrono::steady_clock;
-
-/// Shared between the executing thread and the heartbeat thread.
-struct BusyState {
-  std::mutex mutex;
-  std::condition_variable stopped;  // notified once `stop` is set
-  bool stop = false;                // guarded by mutex
-  std::uint64_t busyTest = 0;  // guarded by mutex; 0 = idle
-  BeatClock::time_point busySince;  // guarded by mutex
-};
-
-}  // namespace
-
 int runWorker(int fd, const WorkerExecutorFactory& makeExecutor,
               const WorkerHooks& hooks) {
   // Hello / welcome handshake, blocking: nothing useful can happen before
@@ -74,43 +55,33 @@ int runWorker(int fd, const WorkerExecutorFactory& makeExecutor,
   // writeFrame is two sends (header, payload); the heartbeat thread and
   // the outcome path must not interleave halves of different frames.
   std::mutex writeMutex;
-  BusyState busy;
+  std::mutex stopMutex;
+  std::condition_variable stopped;  // notified once `stop` is set
+  bool stop = false;                // guarded by stopMutex
 
   std::thread beater([&] {
     const auto interval =
         std::chrono::milliseconds(std::max<std::uint64_t>(
             1, welcome->heartbeatMs));
     for (;;) {
-      Heartbeat beat;
-      {
-        const std::lock_guard<std::mutex> guard(busy.mutex);
-        if (busy.stop) break;
-        beat.busyTest = busy.busyTest;
-        if (busy.busyTest != 0) {
-          beat.busyMs = static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::milliseconds>(
-                  BeatClock::now() - busy.busySince)
-                  .count());
-        }
-      }
       {
         const std::lock_guard<std::mutex> guard(writeMutex);
-        if (!util::writeFrame(fd, encodeHeartbeat(beat))) break;
+        if (!util::writeFrame(fd, encodeHeartbeat())) break;
       }
       // Sleeps out the interval unless the worker stops first, so an exit
       // never waits for the next beat.
-      std::unique_lock<std::mutex> lock(busy.mutex);
-      if (busy.stopped.wait_for(lock, interval, [&] { return busy.stop; })) {
+      std::unique_lock<std::mutex> lock(stopMutex);
+      if (stopped.wait_for(lock, interval, [&] { return stop; })) {
         break;
       }
     }
   });
   const auto finish = [&](int code) {
     {
-      const std::lock_guard<std::mutex> guard(busy.mutex);
-      busy.stop = true;
+      const std::lock_guard<std::mutex> guard(stopMutex);
+      stop = true;
     }
-    busy.stopped.notify_all();
+    stopped.notify_all();
     beater.join();
     shard.close();
     util::closeFd(fd);
@@ -127,17 +98,8 @@ int runWorker(int fd, const WorkerExecutorFactory& makeExecutor,
     const auto assign = decodeAssign(*frame);
     if (!assign) return finish(kWorkerExitLostPeer);
 
-    {
-      const std::lock_guard<std::mutex> guard(busy.mutex);
-      busy.busyTest = assign->test;
-      busy.busySince = BeatClock::now();
-    }
     const DoneEvent done = executeChecked(*executor, assign->test,
                                           assign->point);
-    {
-      const std::lock_guard<std::mutex> guard(busy.mutex);
-      busy.busyTest = 0;
-    }
 
     // Shard-before-frame ordering is the recovery contract: any outcome
     // the coordinator ever folded is also on disk in a shard, so a

@@ -4,10 +4,10 @@
 // Life cycle: connect -> hello -> welcome (learn slot/incarnation, system,
 // seed, shard location) -> loop { assign -> execute -> shard append ->
 // outcome frame } until a shutdown frame or EOF. A heartbeat thread beats
-// every heartbeatMs the whole time, carrying how long the current scenario
-// has been running, so the coordinator can distinguish a wedged scenario
-// (heart beating, busyMs growing) from a dead process (silence / EOF). The
-// worker returns as soon as it stops, without waiting out a beat.
+// every heartbeatMs the whole time, so the coordinator can tell a live
+// worker from a dead or hung process (silence / EOF); a wedged scenario is
+// the coordinator's own assign-time deadline. The worker returns as soon as
+// it stops, without waiting out a beat.
 //
 // Crash containment is the point of a worker process: anything that kills
 // it — UB in a deployment, abort, OOM kill — costs the coordinator one

@@ -399,6 +399,9 @@ bool writeManifest(const std::string& dir, const Manifest& manifest) {
   appendKey(out, "scenarioTimeoutMs");
   out += std::to_string(manifest.scenarioTimeoutMs);
   out += ',';
+  appendKey(out, "minImpact");
+  appendDouble(out, manifest.minImpact);
+  out += ',';
   appendKey(out, "batch");
   out += std::to_string(manifest.batch);
   out += ',';
@@ -433,18 +436,21 @@ bool writeManifest(const std::string& dir, const Manifest& manifest) {
   manifest.workers = *workers;
   manifest.checkpointEvery = *checkpointEvery;
   manifest.scenarioTimeoutMs = *scenarioTimeoutMs;
-  // Fleet fields are absent in pre-fleet manifests; default to the
-  // single-process mode so those campaign directories stay resumable. A
-  // present but malformed value is corruption, not a default.
+  // The threshold and the fleet fields are absent in older manifests;
+  // default to the threshold a resume has always used there and to the
+  // single-process mode. A present but malformed value is corruption, not
+  // a default.
+  const auto minImpact = getDouble(*contents, "minImpact", manifest.minImpact);
   const auto mode = getString(*contents, "mode", manifest.mode);
   const auto batch = getU64(*contents, "batch", manifest.batch);
   const auto spawn = getU64(*contents, "spawn", manifest.spawn);
   const auto heartbeatMs =
       getU64(*contents, "heartbeatMs", manifest.heartbeatMs);
-  if (!mode || (*mode != "process" && *mode != "fleet") || !batch ||
-      !spawn || !heartbeatMs) {
+  if (!minImpact || !mode || (*mode != "process" && *mode != "fleet") ||
+      !batch || !spawn || !heartbeatMs) {
     return std::nullopt;
   }
+  manifest.minImpact = *minImpact;
   manifest.mode = *mode;
   manifest.batch = *batch;
   manifest.spawn = *spawn;

@@ -117,9 +117,11 @@ class JournalWriter {
   bool writeFailed_ = false;  // latched by a failed append()/sync()
 };
 
-/// Immutable campaign configuration, written once at campaign start.
-/// The fleet fields (`mode`, `batch`, `spawn`, `heartbeatMs`) default on
-/// load when absent, so pre-fleet campaign directories stay resumable.
+/// Immutable campaign configuration, written once at campaign start: every
+/// option that shapes the campaign's files, so a resume needs nothing else.
+/// `minImpact` and the fleet fields (`mode`, `batch`, `spawn`,
+/// `heartbeatMs`) default on load when absent, so directories written
+/// before they were recorded stay resumable.
 struct Manifest {
   std::uint64_t version = 1;
   std::string system;  // executor label, e.g. "quorum"; free-form
@@ -128,6 +130,7 @@ struct Manifest {
   std::uint64_t workers = 1;
   std::uint64_t checkpointEvery = 16;
   std::uint64_t scenarioTimeoutMs = 0;
+  double minImpact = 0.5;           // vulnerability triage threshold
   std::string mode = "process";     // "process" (in-process runner) | "fleet"
   std::uint64_t batch = 4;          // fleet: scenarios per assignment batch
   std::uint64_t spawn = 0;          // fleet: workers the coordinator spawns

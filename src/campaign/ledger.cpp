@@ -22,6 +22,20 @@ Ledger::Ledger(const ExecutorFactory& factory, CampaignOptions options)
       options_.seed);
 }
 
+CampaignOptions restoreOptions(const Manifest& manifest,
+                               const std::string& dir) {
+  CampaignOptions options;
+  options.outDir = dir;
+  options.system = manifest.system;
+  options.seed = manifest.seed;
+  options.totalTests = static_cast<std::size_t>(manifest.totalTests);
+  options.checkpointEvery = std::max<std::size_t>(
+      1, static_cast<std::size_t>(manifest.checkpointEvery));
+  options.scenarioTimeoutMs = manifest.scenarioTimeoutMs;
+  options.dedupMinImpact = manifest.minImpact;
+  return options;
+}
+
 Ledger Ledger::fresh(const ExecutorFactory& factory, CampaignOptions options,
                      Manifest manifest) {
   Ledger ledger(factory, std::move(options));
@@ -31,6 +45,7 @@ Ledger Ledger::fresh(const ExecutorFactory& factory, CampaignOptions options,
   manifest.totalTests = opts.totalTests;
   manifest.checkpointEvery = opts.checkpointEvery;
   manifest.scenarioTimeoutMs = opts.scenarioTimeoutMs;
+  manifest.minImpact = opts.dedupMinImpact;
   ledger.manifest_ = std::move(manifest);
   if (opts.outDir.empty()) return ledger;
   std::error_code ec;
@@ -44,9 +59,7 @@ Ledger Ledger::fresh(const ExecutorFactory& factory, CampaignOptions options,
   return ledger;
 }
 
-Ledger Ledger::resume(const ExecutorFactory& factory,
-                      CampaignOptions options) {
-  const std::string dir = options.outDir;
+Ledger Ledger::resume(const ExecutorFactory& factory, const std::string& dir) {
   if (dir.empty()) throw std::runtime_error("campaign: resume requires outDir");
   const auto manifest = loadManifest(dir);
   if (!manifest) {
@@ -54,19 +67,12 @@ Ledger Ledger::resume(const ExecutorFactory& factory,
     throw std::runtime_error("campaign: missing/corrupt manifest '" + path +
                              "'");
   }
-  options.seed = manifest->seed;
-  options.totalTests = static_cast<std::size_t>(manifest->totalTests);
-  options.checkpointEvery = std::max<std::size_t>(
-      1, static_cast<std::size_t>(manifest->checkpointEvery));
-  options.scenarioTimeoutMs = manifest->scenarioTimeoutMs;
-  options.system = manifest->system;
-
   const auto loaded = loadJournal(journalPath(dir));
   if (!loaded) {
     throw std::runtime_error("campaign: corrupt journal in '" + dir + "'");
   }
 
-  Ledger ledger(factory, std::move(options));
+  Ledger ledger(factory, restoreOptions(*manifest, dir));
   ledger.manifest_ = *manifest;
   ReplayState replayed = replayJournal(*ledger.controller_, loaded->events);
   ledger.nextTest_ = replayed.nextTest;

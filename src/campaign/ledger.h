@@ -31,21 +31,19 @@ namespace avd::campaign {
 class Ledger {
  public:
   /// A fresh campaign. When options.outDir is set: creates the directory,
-  /// writes `manifest` (the driver's fields; system, seed, budget, cadence
-  /// and timeout come from `options`) and truncates the journal. Throws
-  /// std::runtime_error on I/O failure.
+  /// writes `manifest` (the driver's fields; every other field comes from
+  /// `options`, and restoreOptions reads them back) and truncates the
+  /// journal. Throws std::runtime_error on I/O failure.
   static Ledger fresh(const ExecutorFactory& factory, CampaignOptions options,
                       Manifest manifest);
 
-  /// The campaign in options.outDir. Its manifest's seed, budget, cadence,
-  /// system and timeout replace those of `options`; the journal is
-  /// replayed without executing anything and reopened past its torn tail;
-  /// the checkpoint's robustness counters carry over, and the SAFETY count
-  /// is recounted from the replayed history. Throws
-  /// std::runtime_error when the directory is missing, corrupt, or diverges
-  /// from deterministic replay.
-  static Ledger resume(const ExecutorFactory& factory,
-                       CampaignOptions options);
+  /// The campaign in `dir`, with the options its manifest records
+  /// (restoreOptions). The journal is replayed without executing anything
+  /// and reopened past its torn tail; the checkpoint's robustness counters
+  /// carry over, and the SAFETY count is recounted from the replayed
+  /// history. Throws std::runtime_error when the directory is missing,
+  /// corrupt, or diverges from deterministic replay.
+  static Ledger resume(const ExecutorFactory& factory, const std::string& dir);
 
   const CampaignOptions& options() const noexcept { return options_; }
   const Manifest& manifest() const noexcept { return manifest_; }

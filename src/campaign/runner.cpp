@@ -119,7 +119,7 @@ CampaignResult CampaignRunner::resume() {
     const auto manifest = loadManifest(options_.outDir);
     if (manifest && manifest->mode == "fleet") return runOnThreads(true);
   }
-  Ledger ledger = Ledger::resume(factory_, options_);
+  Ledger ledger = Ledger::resume(factory_, options_.outDir);
   return driveSerial(ledger);
 }
 

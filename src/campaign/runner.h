@@ -71,6 +71,13 @@ struct CampaignOptions {
   double dedupMinImpact = 0.5;
 };
 
+/// The options the campaign in `dir` runs with, from its manifest: system,
+/// seed, budget, checkpoint cadence, timeout and triage threshold, which
+/// Ledger::fresh records. `workers` keeps its default: the manifest's mode,
+/// not a worker count, picks the driver of a resume.
+CampaignOptions restoreOptions(const Manifest& manifest,
+                               const std::string& dir);
+
 struct CampaignResult {
   /// Fold-order history (the controller's view).
   std::vector<core::TestRecord> history;

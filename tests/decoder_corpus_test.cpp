@@ -6,11 +6,13 @@
 // Each decoder gets one valid instance of every input, truncated at every
 // offset and with each bit flipped in turn. It must return nullopt, or a
 // value that passes the checks its callers rely on: a decoded done outcome
-// has no outcomeDefect, and a manifest's mode is "process" or "fleet".
+// has no outcomeDefect, and a manifest's mode is "process" or "fleet" and
+// its minImpact finite.
 // Totality (no crash, no undefined behaviour) is checked by the sanitizer
 // trees, which run this suite.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -68,7 +70,7 @@ Corpus lineCorpus() {
       {"hello", fleet::encodeHello(fleet::Hello{})},
       {"welcome", fleet::encodeWelcome(welcome)},
       {"assign", fleet::encodeAssign(assign)},
-      {"heartbeat", fleet::encodeHeartbeat(fleet::Heartbeat{42, 1500})},
+      {"heartbeat", fleet::encodeHeartbeat()},
       {"shutdown", fleet::encodeShutdown()},
   };
 }
@@ -97,7 +99,6 @@ void expectLineRejectedOrSound(const std::string& line,
   (void)fleet::decodeHello(line);
   (void)fleet::decodeWelcome(line);
   (void)fleet::decodeAssign(line);
-  (void)fleet::decodeHeartbeat(line);
 }
 
 std::string scratchDir(const std::string& name) {
@@ -127,6 +128,7 @@ Manifest sampleManifest() {
   manifest.workers = 2;
   manifest.checkpointEvery = 16;
   manifest.scenarioTimeoutMs = 2500;
+  manifest.minImpact = 0.25;
   manifest.mode = "fleet";
   manifest.batch = 4;
   manifest.spawn = 2;
@@ -159,7 +161,7 @@ TEST(DecoderCorpus, ValidInstancesDecode) {
   EXPECT_TRUE(fleet::decodeHello(lines[2].second).has_value());
   EXPECT_TRUE(fleet::decodeWelcome(lines[3].second).has_value());
   EXPECT_TRUE(fleet::decodeAssign(lines[4].second).has_value());
-  EXPECT_TRUE(fleet::decodeHeartbeat(lines[5].second).has_value());
+  EXPECT_EQ(fleet::kindOf(lines[5].second), fleet::MessageKind::kHeartbeat);
 
   const std::string dir = scratchDir("valid");
   ASSERT_TRUE(writeManifest(dir, sampleManifest()));
@@ -194,6 +196,9 @@ TEST(DecoderCorpus, MutatedManifestsAndCheckpointsAreRejectedOrSound) {
     if (const auto loaded = loadManifest(dir)) {
       EXPECT_TRUE(loaded->mode == "process" || loaded->mode == "fleet")
           << "manifest " << how << " " << at << ": mode " << loaded->mode;
+      EXPECT_TRUE(std::isfinite(loaded->minImpact))
+          << "manifest " << how << " " << at << ": minImpact "
+          << loaded->minImpact;
     }
   });
   forEachMutant(checkpoint, [&](const std::string& mutant, const char*,

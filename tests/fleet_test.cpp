@@ -1,7 +1,7 @@
 // Fleet tests: framing, wire protocol, shard merge edge cases, and the
 // coordinator's chaos guarantees — worker kill -9 (before and after the
 // shard append), coordinator kill + resume, wedge containment, graceful
-// drain, and the remote TCP path.
+// drain, peers that skip the hello, and the remote TCP path.
 //
 // Workers run as threads over socketpairs (ThreadFleet, the launcher
 // CampaignRunner uses), which keeps the tests hermetic and lets crash hooks
@@ -19,6 +19,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <future>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -395,13 +397,7 @@ TEST(FleetProtocol, ControlMessagesRoundTrip) {
   EXPECT_EQ(assignBack->test, 42u);
   EXPECT_EQ(assignBack->point, assign.point);
 
-  const std::string beat = encodeHeartbeat(Heartbeat{9, 1234});
-  EXPECT_EQ(kindOf(beat), MessageKind::kHeartbeat);
-  const auto beatBack = decodeHeartbeat(beat);
-  ASSERT_TRUE(beatBack.has_value());
-  EXPECT_EQ(beatBack->busyTest, 9u);
-  EXPECT_EQ(beatBack->busyMs, 1234u);
-
+  EXPECT_EQ(kindOf(encodeHeartbeat()), MessageKind::kHeartbeat);
   EXPECT_EQ(kindOf(encodeShutdown()), MessageKind::kShutdown);
 }
 
@@ -910,6 +906,76 @@ TEST(FleetDrain, DrainStopsEarlyWithAPrefixJournalThatResumesToTheFullRun) {
   const CampaignResult resumed = coordinator.resume();
   EXPECT_EQ(resumed.executed, 48u);
   EXPECT_EQ(readAll(journalPath(dir)), fullJournal);
+}
+
+// --- connect phase -----------------------------------------------------------
+
+/// Runs an 8-test campaign with one spawned slot and no respawn budget,
+/// whose launcher hands the slot to `peer` (on a thread, over a socketpair)
+/// instead of a worker. Returns the result, or nullopt when run() was still
+/// going after 3 s; `stop` turns true once that wait is over, and the peer
+/// then hangs up so run() returns either way.
+std::optional<CampaignResult> runAgainstPeer(
+    const std::function<void(int fd, const std::atomic<bool>& stop)>& peer) {
+  FleetOptions options = ridgeFleetOptions(71, 8, 1, "");
+  options.heartbeatMs = 20;
+  options.heartbeatMissFactor = 5;
+  options.spawnGraceMs = 100;
+  options.maxWorkerRespawns = 0;
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> peers;
+  options.launcher = [&](std::size_t) -> std::optional<util::SpawnedProcess> {
+    const auto fds = util::socketPair();
+    if (!fds) return std::nullopt;
+    peers.emplace_back([&peer, &stop, fd = (*fds)[1]] {
+      peer(fd, stop);
+      util::closeFd(fd);
+    });
+    return util::SpawnedProcess{-1, (*fds)[0]};
+  };
+  FleetCoordinator coordinator(std::move(options), ridgeFactory());
+  std::future<CampaignResult> running = std::async(
+      std::launch::async, [&coordinator] { return coordinator.run(); });
+  const bool finished = running.wait_for(std::chrono::seconds(3)) ==
+                        std::future_status::ready;
+  stop = true;
+  CampaignResult result = running.get();
+  for (std::thread& thread : peers) thread.join();
+  if (!finished) return std::nullopt;
+  return result;
+}
+
+TEST(FleetConnect, HeartbeatsWithoutAHelloDoNotHoldTheSlot) {
+  // The peer beats every 20 ms and never says hello. Its first frame
+  // closes the slot, and with no respawn budget the campaign aborts.
+  const auto result = runAgainstPeer([](int fd, const std::atomic<bool>& stop) {
+    // A heartbeat frame that every coordinator revision accepts from an
+    // active worker.
+    const std::string beat =
+        "{\"event\":\"heartbeat\",\"busyTest\":0,\"busyMs\":0}";
+    while (!stop && util::writeFrame(fd, beat)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+  });
+  ASSERT_TRUE(result.has_value())
+      << "a peer that never said hello still held its slot after 3 s";
+  EXPECT_TRUE(result->aborted);
+  EXPECT_EQ(result->executed, 0u);
+}
+
+TEST(FleetConnect, HelloOfAnotherProtocolVersionGetsNoWelcome) {
+  std::atomic<bool> welcomed{false};
+  const auto result =
+      runAgainstPeer([&welcomed](int fd, const std::atomic<bool>&) {
+        if (!util::writeFrame(fd, "{\"event\":\"hello\",\"version\":2}")) {
+          return;
+        }
+        const auto reply = util::readFrame(fd);
+        welcomed = reply && kindOf(*reply) == MessageKind::kWelcome;
+      });
+  ASSERT_TRUE(result.has_value());
+  EXPECT_FALSE(welcomed.load()) << "a version-2 hello was welcomed";
+  EXPECT_TRUE(result->aborted);
 }
 
 // --- remote TCP workers ------------------------------------------------------

@@ -5,9 +5,11 @@
 # an absent key still takes its default. CASE picks the edit:
 #   batch_negative      fleet manifest "batch":-1
 #   heartbeat_word      fleet manifest "heartbeatMs":"x"
+#   min_impact_word     manifest "minImpact":"x"
 #   respawns_negative   checkpoint "respawns":-1
-#   no_fleet_keys       manifest without mode/batch/spawn/heartbeatMs: must
-#                       resume to the journal of an uninterrupted run
+#   no_fleet_keys       manifest without minImpact/mode/batch/spawn/
+#                       heartbeatMs: must resume to the journal and classes
+#                       of an uninterrupted run
 set -eu
 cli=$1
 case_name=$2
@@ -50,6 +52,12 @@ case $case_name in
     fi
     expect_rejected manifest.json
     ;;
+  min_impact_word)
+    "$cli" campaign --system quorum --tests 8 --seed 3 --out "$out/dir" \
+      > /dev/null
+    edit "$out/dir/manifest.json" 's/"minImpact":[^,]*/"minImpact":"x"/'
+    expect_rejected manifest.json
+    ;;
   respawns_negative)
     "$cli" campaign --system quorum --tests 8 --seed 3 --out "$out/dir" \
       > /dev/null
@@ -62,13 +70,14 @@ case $case_name in
         > /dev/null
     done
     edit "$out/dir/manifest.json" \
-      's/"mode":"process",//; s/,"batch":[0-9]*,"spawn":[0-9]*,"heartbeatMs":[0-9]*//'
+      's/"mode":"process",//; s/,"minImpact":[^,]*//; s/,"batch":[0-9]*,"spawn":[0-9]*,"heartbeatMs":[0-9]*//'
     size=$(wc -c < "$out/dir/journal.jsonl")
     head -c $((size / 2)) "$out/dir/journal.jsonl" > "$out/journal.tmp"
     mv "$out/journal.tmp" "$out/dir/journal.jsonl"
     rm -f "$out/dir/checkpoint.json"
     "$cli" campaign --resume "$out/dir" > /dev/null
     cmp "$out/ref/journal.jsonl" "$out/dir/journal.jsonl"
+    cmp "$out/ref/classes.json" "$out/dir/classes.json"
     ;;
   *)
     echo "unknown case $case_name"

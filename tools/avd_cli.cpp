@@ -2,26 +2,26 @@
 //
 //   avd_cli campaign [--system SYS] [--tests N] [--seed S]
 //                    [--workers W] [--out DIR] [--resume DIR]
-//                    [--checkpoint-every N] [--timeout-ms MS] [--min-impact X]
+//                    [--timeout-ms MS] [--min-impact X]
 //       Run AVD exploration as a resumable, parallel campaign: W worker
 //       threads, an append-only journal + checkpoint in DIR, and a
 //       deduplicated vulnerability-class report at the end. W = 1 without
 //       --timeout-ms is the serial loop; anything else runs on the fleet
 //       coordinator with thread workers. `--resume DIR` continues a killed
-//       campaign exactly where its journal stops.
+//       campaign exactly where its journal stops, with the options its
+//       manifest records.
 //
 //   avd_cli fleet [--system SYS] [--tests N] [--seed S]
 //                 [--spawn W] [--remote R] [--batch B] [--out DIR]
-//                 [--resume DIR] [--checkpoint-every N] [--timeout-ms MS]
-//                 [--min-impact X] [--heartbeat-ms MS] [--max-respawns N]
+//                 [--resume DIR] [--timeout-ms MS] [--min-impact X]
 //                 [--bind ADDR[:PORT]] [--allow-any-bind 1]
 //       Multi-process campaign: this process becomes the coordinator, owns
 //       the controller and journal, and spawns W fleet-worker child
 //       processes (plus accepts R remote workers over loopback TCP). A
 //       crashed or wedged worker is killed, respawned with capped backoff,
 //       and its in-flight scenarios are re-executed elsewhere. SIGTERM
-//       drains gracefully. `avd_cli campaign --resume DIR` also recognizes
-//       fleet campaign directories and resumes them here.
+//       drains gracefully. Either command's `--resume DIR` resumes a fleet
+//       directory here and any other on the serial loop.
 //
 //   avd_cli fleet-worker [--connect HOST:PORT]
 //       Worker mode: executes scenarios for a coordinator. Spawned workers
@@ -48,7 +48,6 @@
 #include <optional>
 #include <string>
 #include <system_error>
-#include <utility>
 
 #include "campaign/dedup.h"
 #include "campaign/fleet/coordinator.h"
@@ -181,13 +180,12 @@ int usage() {
       stderr,
       "usage: avd_cli campaign|fleet|fleet-worker|list [--flag value ...]\n"
       "  campaign     --system SYS  --tests N  --seed S  --workers W\n"
-      "               --out DIR  --resume DIR  --checkpoint-every N\n"
-      "               --timeout-ms MS  --min-impact X\n"
+      "               --out DIR  --resume DIR  --timeout-ms MS\n"
+      "               --min-impact X\n"
       "  fleet        --system SYS  --tests N  --seed S\n"
       "               --spawn W  --remote R  --batch B\n"
-      "               --out DIR  --resume DIR  --checkpoint-every N\n"
-      "               --timeout-ms MS  --min-impact X  --heartbeat-ms MS\n"
-      "               --max-respawns N  --bind ADDR[:PORT]\n"
+      "               --out DIR  --resume DIR  --timeout-ms MS\n"
+      "               --min-impact X  --bind ADDR[:PORT]\n"
       "               --allow-any-bind 1   (multi-process campaign; SIGTERM\n"
       "               drains gracefully, workers are respawned on crash;\n"
       "               the remote-worker listener stays on 127.0.0.1 unless\n"
@@ -241,100 +239,27 @@ int reportCampaignResult(const campaign::CampaignResult& result,
 /// coordinator polls it and drains gracefully.
 std::atomic<bool> gFleetDrain{false};
 
-/// Runs (or resumes) a fleet campaign. `campaign --resume` delegates here
-/// when the manifest says mode="fleet", so either spelling resumes a fleet
-/// directory. On resume the manifest overrides every flag-derived option.
-int runFleetCampaign(const std::string& resumeDir,
-                     campaign::fleet::FleetOptions options, std::string system,
-                     std::uint64_t seed) {
-  if (!resumeDir.empty()) {
-    const auto manifest = campaign::loadManifest(resumeDir);
-    if (!manifest) {
-      std::fprintf(stderr, "missing or corrupt campaign manifest '%s'\n",
-                   campaign::manifestPath(resumeDir).c_str());
-      return 1;
-    }
-    if (manifest->mode != "fleet") {
-      std::fprintf(stderr,
-                   "'%s' is a single-process campaign; use 'avd_cli campaign "
-                   "--resume %s'\n",
-                   resumeDir.c_str(), resumeDir.c_str());
-      return 2;
-    }
-    system = manifest->system;
-    seed = manifest->seed;
-    options.campaign.outDir = resumeDir;
-    // resume() re-reads the manifest for the full option set; spawn and
-    // remoteSlots matter here because the constructor binds the TCP
-    // listener before resume() runs.
-    options.spawn = static_cast<std::size_t>(manifest->spawn);
-    options.remoteSlots =
-        manifest->workers > manifest->spawn
-            ? static_cast<std::size_t>(manifest->workers - manifest->spawn)
-            : 0;
-    options.campaign.totalTests =
-        static_cast<std::size_t>(manifest->totalTests);
-    options.batch = static_cast<std::size_t>(manifest->batch);
-  }
-  if (!knownSystem(system)) return 2;
-  options.campaign.seed = seed;
-  options.campaign.system = system;
-
-  options.launcher = [](std::size_t) {
-    return util::spawnWithSocket({util::selfExePath(), "fleet-worker"});
-  };
-  gFleetDrain.store(false);
-  options.drainFlag = &gFleetDrain;
-  util::installSignalHandler(SIGTERM, [](int) { gFleetDrain.store(true); });
-  util::installSignalHandler(SIGINT, [](int) { gFleetDrain.store(true); });
-
-  const std::size_t spawn = options.spawn;
-  const std::size_t remote = options.remoteSlots;
-  const std::string bindAddr = options.bindAddr;
-  const std::size_t tests = options.campaign.totalTests;
-  const std::string outDir = options.campaign.outDir;
-  const std::string where = outDir.empty() ? "" : ", dir " + outDir;
-
-  campaign::CampaignResult result;
-  try {
-    campaign::fleet::FleetCoordinator coordinator(
-        std::move(options), [system, seed] {
-          return campaign::makeSystemExecutor(system, seed);
-        });
-    std::printf(
-        "%s fleet campaign on %s: %zu tests, %zu spawned + %zu remote "
-        "worker(s), seed %llu%s\n",
-        resumeDir.empty() ? "starting" : "resuming", system.c_str(), tests,
-        spawn, remote, static_cast<unsigned long long>(seed), where.c_str());
-    if (coordinator.listenPort() != 0) {
-      std::printf(
-          "remote workers: avd_cli fleet-worker --connect %s:%u\n",
-          bindAddr.c_str(), coordinator.listenPort());
-    }
-    result = resumeDir.empty() ? coordinator.run() : coordinator.resume();
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "fleet campaign failed: %s\n", e.what());
-    return 1;
-  }
-  return reportCampaignResult(result, system, seed, outDir);
-}
-
-int cmdFleet(const Args& args) {
+/// `campaign` and `fleet`: one parse of their flags (a command's vocabulary
+/// admits only its own flags, so the other command's keep their defaults),
+/// one resume path, one banner and one report. `fleet` runs worker
+/// processes; `campaign` the serial loop or thread workers. On resume the
+/// manifest picks the driver — a mode="fleet" directory resumes on worker
+/// processes, whichever command resumes it — and supplies every option it
+/// records, so of the flags only the deployment settings --bind and
+/// --allow-any-bind still apply.
+int cmdCampaign(const Args& args, bool processes) {
   campaign::fleet::FleetOptions options;
-  options.campaign.totalTests =
-      static_cast<std::size_t>(args.getCount("tests", 200));
-  options.campaign.outDir = args.get("out", "");
-  options.campaign.checkpointEvery =
-      static_cast<std::size_t>(args.getCount("checkpoint-every", 16));
-  options.campaign.scenarioTimeoutMs = args.getCount("timeout-ms", 0);
-  options.campaign.dedupMinImpact = args.getDouble("min-impact", 0.5);
+  campaign::CampaignOptions& run = options.campaign;
+  run.system = args.get("system", "quorum");
+  run.totalTests = static_cast<std::size_t>(args.getCount("tests", 200));
+  run.seed = args.getCount("seed", 2011);
+  run.workers = static_cast<std::size_t>(args.getCount("workers", 1));
+  run.outDir = args.get("out", "");
+  run.scenarioTimeoutMs = args.getCount("timeout-ms", 0);
+  run.dedupMinImpact = args.getDouble("min-impact", 0.5);
   options.spawn = static_cast<std::size_t>(args.getCount("spawn", 2));
   options.remoteSlots = static_cast<std::size_t>(args.getCount("remote", 0));
   options.batch = static_cast<std::size_t>(args.getCount("batch", 4));
-  options.heartbeatMs = args.getCount("heartbeat-ms", 200);
-  options.maxWorkerRespawns =
-      static_cast<std::size_t>(args.getCount("max-respawns", 8));
-  const std::uint64_t seed = args.getCount("seed", 2011);
   const bool allowAnyBind = args.getCount("allow-any-bind", 0) != 0;
   const std::string bind = args.get("bind", "");
   if (!bind.empty()) {
@@ -353,8 +278,64 @@ int cmdFleet(const Args& args) {
       return 2;
     }
   }
-  return runFleetCampaign(args.get("resume", ""), std::move(options),
-                          args.get("system", "quorum"), seed);
+
+  const std::string resumeDir = args.get("resume", "");
+  if (!resumeDir.empty()) {
+    const auto manifest = campaign::loadManifest(resumeDir);
+    if (!manifest) {
+      std::fprintf(stderr, "missing or corrupt campaign manifest '%s'\n",
+                   campaign::manifestPath(resumeDir).c_str());
+      return 1;
+    }
+    processes = manifest->mode == "fleet";
+    run = campaign::restoreOptions(*manifest, resumeDir);
+    if (processes) campaign::fleet::restoreShape(*manifest, options);
+  }
+  if (!knownSystem(run.system)) return 2;
+
+  std::string workers = std::to_string(processes ? options.spawn : run.workers);
+  if (processes) {
+    workers += " spawned + ";
+    workers += std::to_string(options.remoteSlots);
+    workers += " remote";
+  }
+  const std::string where = run.outDir.empty() ? "" : ", dir " + run.outDir;
+  std::printf("%s %scampaign on %s: %zu tests, %s worker(s), seed %llu%s\n",
+              resumeDir.empty() ? "starting" : "resuming",
+              processes ? "fleet " : "", run.system.c_str(), run.totalTests,
+              workers.c_str(), static_cast<unsigned long long>(run.seed),
+              where.c_str());
+
+  const campaign::ExecutorFactory factory = [system = run.system,
+                                             seed = run.seed] {
+    return campaign::makeSystemExecutor(system, seed);
+  };
+  campaign::CampaignResult result;
+  try {
+    if (processes) {
+      options.launcher = [](std::size_t) {
+        return util::spawnWithSocket({util::selfExePath(), "fleet-worker"});
+      };
+      gFleetDrain.store(false);
+      options.drainFlag = &gFleetDrain;
+      util::installSignalHandler(SIGTERM, [](int) { gFleetDrain.store(true); });
+      util::installSignalHandler(SIGINT, [](int) { gFleetDrain.store(true); });
+      campaign::fleet::FleetCoordinator coordinator(options, factory);
+      if (coordinator.listenPort() != 0) {
+        std::printf("remote workers: avd_cli fleet-worker --connect %s:%u\n",
+                    options.bindAddr.c_str(), coordinator.listenPort());
+      }
+      result = resumeDir.empty() ? coordinator.run() : coordinator.resume();
+    } else {
+      campaign::CampaignRunner runner(factory, run);
+      result = resumeDir.empty() ? runner.run() : runner.resume();
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%scampaign failed: %s\n", processes ? "fleet " : "",
+                 e.what());
+    return 1;
+  }
+  return reportCampaignResult(result, run.system, run.seed, run.outDir);
 }
 
 int cmdFleetWorker(const Args& args) {
@@ -379,67 +360,6 @@ int cmdFleetWorker(const Args& args) {
   return campaign::fleet::runWorker(fd, campaign::makeSystemExecutor);
 }
 
-int cmdCampaign(const Args& args) {
-  const std::string resumeDir = args.get("resume", "");
-  std::string system = args.get("system", "quorum");
-  std::uint64_t seed = args.getCount("seed", 2011);
-
-  campaign::CampaignOptions options;
-  options.totalTests = static_cast<std::size_t>(args.getCount("tests", 200));
-  options.workers = static_cast<std::size_t>(args.getCount("workers", 1));
-  options.outDir = args.get("out", "");
-  options.checkpointEvery =
-      static_cast<std::size_t>(args.getCount("checkpoint-every", 16));
-  options.scenarioTimeoutMs = args.getCount("timeout-ms", 0);
-  options.dedupMinImpact = args.getDouble("min-impact", 0.5);
-
-  if (!resumeDir.empty()) {
-    // The manifest pins system/seed/budget; flags are ignored on resume.
-    const auto manifest = campaign::loadManifest(resumeDir);
-    if (!manifest) {
-      std::fprintf(stderr, "missing or corrupt campaign manifest '%s'\n",
-                   campaign::manifestPath(resumeDir).c_str());
-      return 1;
-    }
-    if (manifest->mode == "fleet") {
-      // A fleet directory resumes under the fleet coordinator, whichever
-      // command the user typed; the manifest supplies every option.
-      return runFleetCampaign(resumeDir, campaign::fleet::FleetOptions{},
-                              manifest->system, manifest->seed);
-    }
-    system = manifest->system;
-    seed = manifest->seed;
-    options.outDir = resumeDir;
-    options.totalTests = manifest->totalTests;
-    // A non-fleet directory continues on the serial loop, whatever worker
-    // count wrote it.
-    options.workers = 1;
-  }
-  if (!knownSystem(system)) return 2;
-  options.seed = seed;
-  options.system = system;
-
-  campaign::CampaignRunner runner(
-      [system, seed] { return campaign::makeSystemExecutor(system, seed); },
-      options);
-
-  const std::string where =
-      options.outDir.empty() ? "" : ", dir " + options.outDir;
-  std::printf("%s campaign on %s: %zu tests, %zu worker(s), seed %llu%s\n",
-              resumeDir.empty() ? "starting" : "resuming", system.c_str(),
-              options.totalTests, options.workers,
-              static_cast<unsigned long long>(seed), where.c_str());
-
-  campaign::CampaignResult result;
-  try {
-    result = resumeDir.empty() ? runner.run() : runner.resume();
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "campaign failed: %s\n", e.what());
-    return 1;
-  }
-  return reportCampaignResult(result, system, seed, options.outDir);
-}
-
 int cmdList() {
   for (const campaign::System& system : campaign::systems()) {
     std::printf("%-20s %s\n", system.name, system.summary);
@@ -455,15 +375,15 @@ int main(int argc, char** argv) {
   if (command == "campaign") {
     return cmdCampaign(Args(argc, argv, 2,
                             {"system", "tests", "seed", "workers", "out",
-                             "resume", "checkpoint-every", "timeout-ms",
-                             "min-impact"}));
+                             "resume", "timeout-ms", "min-impact"}),
+                       false);
   }
   if (command == "fleet") {
-    return cmdFleet(Args(argc, argv, 2,
-                         {"system", "tests", "seed", "spawn", "remote",
-                          "batch", "out", "resume", "checkpoint-every",
-                          "timeout-ms", "min-impact", "heartbeat-ms",
-                          "max-respawns", "bind", "allow-any-bind"}));
+    return cmdCampaign(Args(argc, argv, 2,
+                            {"system", "tests", "seed", "spawn", "remote",
+                             "batch", "out", "resume", "timeout-ms",
+                             "min-impact", "bind", "allow-any-bind"}),
+                       true);
   }
   if (command == "fleet-worker") {
     return cmdFleetWorker(Args(argc, argv, 2, {"connect"}));
