@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "effects.h"
 #include "index.h"
 #include "lexer.h"
 #include "lint.h"
@@ -94,17 +93,6 @@ int main(int argc, char** argv) {
   const std::size_t modelKinds = model.kinds.size();
   const std::size_t modelTransitions = model.transitions.size();
 
-  // Phase 4 (effect-inference fixpoint), timed directly: the v4 call-graph
-  // pass is quadratic in the worst case, so its share of the budget gets
-  // its own trend line.
-  const auto effectsStart = now();
-  const avd::lint::EffectIndex effects = avd::lint::inferEffects(index);
-  const double effectsSeconds = now() - effectsStart;
-  std::size_t effectfulFunctions = 0;
-  for (const auto& fn : effects.fn) {
-    if (fn.total != 0) ++effectfulFunctions;
-  }
-
   // Full pipeline, best of three (first run warms the page cache).
   constexpr int kRuns = 3;
   double bestSeconds = 0.0;
@@ -122,8 +110,7 @@ int main(int argc, char** argv) {
   // The rules' share is the pipeline remainder after the phases measured
   // in isolation (clamped: the isolated runs are not the same wall clock).
   const double rulesSeconds =
-      std::max(0.0, bestSeconds - lexSeconds - indexSeconds - modelSeconds -
-                        effectsSeconds);
+      std::max(0.0, bestSeconds - lexSeconds - indexSeconds - modelSeconds);
 
   std::printf("=== avd_lint full-tree analysis ===\n");
   std::printf("files:            %zu\n", files.size());
@@ -133,8 +120,6 @@ int main(int argc, char** argv) {
   std::printf("index only:       %.3f s\n", indexSeconds);
   std::printf("model only:       %.3f s (%zu kinds, %zu transitions)\n",
               modelSeconds, modelKinds, modelTransitions);
-  std::printf("effects only:     %.3f s (%zu/%zu effectful functions)\n",
-              effectsSeconds, effectfulFunctions, effects.fn.size());
   std::printf("rules (residual): %.3f s\n", rulesSeconds);
   std::printf("full pipeline:    %.3f s (best of %d)\n", bestSeconds, kRuns);
   std::printf("throughput:       %.0f lines/s\n",

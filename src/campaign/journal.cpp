@@ -425,11 +425,12 @@ bool writeManifest(const std::string& dir, const Manifest& manifest) {
   const auto workers = getU64(*contents, "workers");
   const auto checkpointEvery = getU64(*contents, "checkpointEvery");
   const auto scenarioTimeoutMs = getU64(*contents, "scenarioTimeoutMs");
-  if (!version || !system || !seed || !totalTests || !workers ||
-      !checkpointEvery || !scenarioTimeoutMs) {
+  // The default version is the only format this binary writes: a
+  // directory of a newer format is refused, not misread.
+  if (!version || *version != manifest.version || !system || !seed ||
+      !totalTests || !workers || !checkpointEvery || !scenarioTimeoutMs) {
     return std::nullopt;
   }
-  manifest.version = *version;
   manifest.system = *system;
   manifest.seed = *seed;
   manifest.totalTests = *totalTests;

@@ -112,14 +112,15 @@ inline std::size_t findKey(std::string_view line, std::string_view key) {
   return parseU64(line, at);
 }
 
+/// As parseU64, with the one sign std::to_string writes: a leading '-'.
 [[nodiscard]] inline std::optional<std::int64_t> getI64(
     std::string_view line, std::string_view key) {
   const std::size_t at = findKey(line, key);
   if (at == std::string_view::npos) return std::nullopt;
-  const std::string value(line.substr(at, 32));
-  char* end = nullptr;
-  const std::int64_t parsed = std::strtoll(value.c_str(), &end, 10);
-  if (end == value.c_str()) return std::nullopt;
+  std::int64_t parsed = 0;
+  const auto [end, ec] = std::from_chars(line.data() + at,
+                                         line.data() + line.size(), parsed);
+  if (ec != std::errc{}) return std::nullopt;
   return parsed;
 }
 

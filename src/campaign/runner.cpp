@@ -32,6 +32,8 @@ ReplayState replayJournal(core::Controller& controller,
       core::GeneratedScenario scenario = controller.acquireScenario();
       if (scenario.point != event.gen.point ||
           scenario.generatedBy != event.gen.generatedBy ||
+          scenario.parentImpact != event.gen.parentImpact ||
+          scenario.pluginIndex != event.gen.pluginIndex ||
           event.gen.test != state.nextTest) {
         throw std::runtime_error(
             "campaign: journal diverges from deterministic replay (wrong "

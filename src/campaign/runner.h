@@ -85,8 +85,10 @@ struct CampaignResult {
   std::size_t executed = 0;
   std::size_t failed = 0;    // executor threw
   std::size_t timedOut = 0;  // watchdog retired the scenario
-  /// True when every worker slot died or wedged past the respawn budget
-  /// and the campaign gave up early; history holds the completed prefix.
+  /// True when no worker slot was left to run the remaining tests — slots
+  /// crashed or wedged past the respawn budget, failed to launch, broke
+  /// the protocol or never connected — and the campaign gave up early;
+  /// history holds the completed prefix.
   bool aborted = false;
   /// Worker slots revived after a crash or wedge.
   std::size_t respawns = 0;

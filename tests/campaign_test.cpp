@@ -503,17 +503,25 @@ TEST(CampaignJournal, MalformedLinesAreRejected) {
   EXPECT_FALSE(decodeLine("{\"event\":\"gen\"").has_value());
   EXPECT_FALSE(decodeLine("{\"event\":\"mystery\",\"test\":1}").has_value());
 
-  // Values no encoder writes — a sign or an overflow on a count or a
-  // point, a double that is not finite, a negative rate or latency — come
-  // only from corruption or a lying --remote worker, and must not decode.
+  // Values no encoder writes — a sign, a blank or an overflow on a count,
+  // an index or a point, a double that is not finite, a negative rate or
+  // latency — come only from corruption or a lying --remote worker, and
+  // must not decode.
   GenEvent gen;
   gen.test = 2;
   gen.point = {1, 2};
   gen.generatedBy = "random";
   const std::string validGen = encodeGen(gen);
   ASSERT_TRUE(decodeLine(validGen).has_value());
-  for (const char* bad : {"[-1,2]", "[1,18446744073709551616]"}) {
-    const std::string line = withValue(validGen, "point", bad);
+  const std::pair<const char*, const char*> badGen[] = {
+      {"point", "[-1,2]"},
+      {"point", "[1,18446744073709551616]"},
+      {"pluginIndex", "+0"},
+      {"pluginIndex", " 0"},
+      {"pluginIndex", "99999999999999999999"},
+  };
+  for (const auto& [key, bad] : badGen) {
+    const std::string line = withValue(validGen, key, bad);
     EXPECT_FALSE(decodeLine(line).has_value()) << line;
   }
   DoneEvent done;
@@ -807,20 +815,29 @@ TEST(CampaignResume, TamperedJournalIsDetectedAsDivergence) {
   options.totalTests = 20;
   options.outDir = dir;
   CampaignRunner(ridgeFactory(), options).run();
+  const std::string original = readAll(journalPath(dir));
 
-  // Same-length edit keeps the line parseable but changes the provenance:
-  // replay must notice the journal no longer matches the deterministic
+  // Each edit keeps the line parseable but changes a field the controller
+  // regenerates — the provenance, the parent's impact, the plugin: replay
+  // must notice the journal no longer matches the deterministic
   // regeneration.
-  std::string journal = readAll(journalPath(dir));
-  const auto at = journal.find("\"generatedBy\":\"random\"");
-  ASSERT_NE(at, std::string::npos);
-  journal.replace(at, 22, "\"generatedBy\":\"zandom\"");
-  writeAll(journalPath(dir), journal);
+  const std::pair<std::string, std::string> edits[] = {
+      {"\"generatedBy\":\"random\"", "\"generatedBy\":\"zandom\""},
+      {"\"parentImpact\":0,", "\"parentImpact\":0.25,"},
+      {"\"pluginIndex\":-1}", "\"pluginIndex\":2}"},
+  };
+  for (const auto& [from, to] : edits) {
+    std::string journal = original;
+    const auto at = journal.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    journal.replace(at, from.size(), to);
+    writeAll(journalPath(dir), journal);
 
-  CampaignOptions resumeOptions;
-  resumeOptions.outDir = dir;
-  CampaignRunner runner(ridgeFactory(), resumeOptions);
-  EXPECT_THROW(runner.resume(), std::runtime_error);
+    CampaignOptions resumeOptions;
+    resumeOptions.outDir = dir;
+    CampaignRunner runner(ridgeFactory(), resumeOptions);
+    EXPECT_THROW(runner.resume(), std::runtime_error) << to;
+  }
 }
 
 // --- failure and timeout isolation -------------------------------------------

@@ -194,6 +194,9 @@ TEST(DecoderCorpus, MutatedManifestsAndCheckpointsAreRejectedOrSound) {
                               std::size_t at) {
     writeFile(manifestPath(dir), mutant);
     if (const auto loaded = loadManifest(dir)) {
+      EXPECT_EQ(loaded->version, 1u)
+          << "manifest " << how << " " << at << ": version "
+          << loaded->version;
       EXPECT_TRUE(loaded->mode == "process" || loaded->mode == "fleet")
           << "manifest " << how << " " << at << ": mode " << loaded->mode;
       EXPECT_TRUE(std::isfinite(loaded->minImpact))

@@ -7,6 +7,8 @@
 #   heartbeat_word      fleet manifest "heartbeatMs":"x"
 #   min_impact_word     manifest "minImpact":"x"
 #   respawns_negative   checkpoint "respawns":-1
+#   version_future      manifest "version":2, a format this binary does not
+#                       write
 #   no_fleet_keys       manifest without minImpact/mode/batch/spawn/
 #                       heartbeatMs: must resume to the journal and classes
 #                       of an uninterrupted run
@@ -52,10 +54,14 @@ case $case_name in
     fi
     expect_rejected manifest.json
     ;;
-  min_impact_word)
+  min_impact_word|version_future)
     "$cli" campaign --system quorum --tests 8 --seed 3 --out "$out/dir" \
       > /dev/null
-    edit "$out/dir/manifest.json" 's/"minImpact":[^,]*/"minImpact":"x"/'
+    if [ "$case_name" = min_impact_word ]; then
+      edit "$out/dir/manifest.json" 's/"minImpact":[^,]*/"minImpact":"x"/'
+    else
+      edit "$out/dir/manifest.json" 's/"version":1,/"version":2,/'
+    fi
     expect_rejected manifest.json
     ;;
   respawns_negative)

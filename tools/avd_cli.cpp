@@ -207,7 +207,9 @@ int reportCampaignResult(const campaign::CampaignResult& result,
                          const std::string& outDir) {
   std::printf("executed %zu scenarios (%zu failed, %zu timed out)%s\n",
               result.executed, result.failed, result.timedOut,
-              result.aborted ? " — ABORTED: every worker wedged" : "");
+              result.aborted
+                  ? " — ABORTED: no worker left to run the remaining tests"
+                  : "");
   if (result.workerCrashes + result.respawns + result.reassigned > 0) {
     std::printf(
         "fleet: %zu worker crash(es), %zu respawn(s), %zu scenario(s) "

@@ -24,19 +24,6 @@ bool isGuardName(const std::string& name) {
          name == "scoped_lock" || name == "shared_lock";
 }
 
-/// std::mutex-family type token (optionally preceded by std::).
-bool isMutexType(const std::vector<Token>& toks, std::size_t i) {
-  if (!isIdent(toks, i)) return false;
-  const std::string& name = toks[i].text;
-  if (name == "mutex" || name == "recursive_mutex" ||
-      name == "shared_mutex" || name == "timed_mutex" ||
-      name == "recursive_timed_mutex") {
-    static const std::set<std::string> kStd = {"std"};
-    return plainOrQualifiedBy(toks, i, kStd);
-  }
-  return false;
-}
-
 /// Splits the token range (begin, end) — exclusive of the delimiters — into
 /// top-level comma-separated argument ranges.
 std::vector<std::pair<std::size_t, std::size_t>> splitArgs(
@@ -175,104 +162,64 @@ std::size_t skipInitItem(const std::vector<Token>& toks, std::size_t i) {
   return match;
 }
 
-// --- Function body scan -----------------------------------------------------
+// --- Lock guards -------------------------------------------------------------
 
-void scanBody(const std::vector<Token>& toks, FunctionInfo& fn) {
-  std::size_t depth = 1;  // we start just inside the opening '{'
-  std::vector<std::size_t> active;  // indices into fn.locks, innermost last
+/// Index of the '}' that closes the block open at `from`, or `limit`.
+std::size_t blockEnd(const std::vector<Token>& toks, std::size_t from,
+                     std::size_t limit) {
+  std::size_t depth = 0;
+  for (std::size_t i = from; i < limit; ++i) {
+    if (toks[i].text == "{") {
+      ++depth;
+    } else if (toks[i].text == "}") {
+      if (depth == 0) return i;
+      --depth;
+    }
+  }
+  return limit;
+}
 
-  std::size_t i = fn.bodyBegin + 1;
+/// Records every guard in the body that acquires its mutex, held from its
+/// declaration to the end of the block that declares it.
+void scanLocks(const std::vector<Token>& toks, FunctionInfo& fn) {
+  std::size_t i = fn.bodyBegin + 1;  // just inside the opening '{'
   const std::size_t end = fn.bodyEnd > 0 ? fn.bodyEnd - 1 : fn.bodyEnd;
   while (i < end) {
-    const std::string& t = toks[i].text;
-    if (t == "{") {
-      ++depth;
+    if (!isIdent(toks, i) || !isGuardName(toks[i].text)) {
       ++i;
       continue;
     }
-    if (t == "}") {
-      // Guards declared in the closing block die here.
-      for (auto it = active.begin(); it != active.end();) {
-        if (fn.locks[*it].scopeDepth == depth) {
-          it = active.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      --depth;
-      ++i;
+    const bool multi = toks[i].text == "scoped_lock";
+    std::size_t j = i + 1;
+    if (text(toks, j) == "<") j = skipBalanced(toks, j, "<", ">");
+    if (isIdent(toks, j)) ++j;  // the guard variable name (may be absent)
+    const std::string& opener = text(toks, j);
+    if (opener != "(" && opener != "{") {
+      ++i;  // a guard type mention without a declaration (alias, param)
       continue;
     }
-    if (toks[i].kind != TokKind::kIdent) {
-      ++i;
-      continue;
+    const std::string closer = opener == "(" ? ")" : "}";
+    const std::size_t argsEnd = skipBalanced(toks, j, opener, closer);
+    const auto args = splitArgs(toks, j + 1, argsEnd - 1);
+    const auto isTag = [&](const std::pair<std::size_t, std::size_t>& arg,
+                           std::string_view tag) {
+      return rangeContainsIdent(toks, arg.first, arg.second, tag);
+    };
+    const bool deferred =
+        std::any_of(args.begin(), args.end(), [&](const auto& arg) {
+          return isTag(arg, "defer_lock") || isTag(arg, "try_to_lock");
+        });
+    i = argsEnd;
+    if (deferred) continue;  // not acquired here
+    const std::size_t scopeEnd = blockEnd(toks, argsEnd, end + 1);
+    const std::size_t mutexArgs =
+        multi ? args.size() : std::min<std::size_t>(1, args.size());
+    for (std::size_t a = 0; a < mutexArgs; ++a) {
+      if (isTag(args[a], "adopt_lock")) continue;  // a lock tag, not a mutex
+      std::string mutexName = lastIdentIn(toks, args[a].first, args[a].second);
+      if (mutexName.empty()) continue;
+      fn.locks.push_back({std::move(mutexName), argsEnd, scopeEnd});
     }
-    const std::string& name = toks[i].text;
-
-    // RAII guard declaration.
-    if (isGuardName(name)) {
-      std::size_t j = i + 1;
-      if (text(toks, j) == "<") j = skipBalanced(toks, j, "<", ">");
-      if (isIdent(toks, j)) ++j;  // the guard variable name (may be absent)
-      const std::string& opener = text(toks, j);
-      if (opener != "(" && opener != "{") {
-        ++i;  // a guard type mention without a declaration (alias, param)
-        continue;
-      }
-      const std::string closer = opener == "(" ? ")" : "}";
-      const std::size_t argsEnd = skipBalanced(toks, j, opener, closer);
-      const auto args = splitArgs(toks, j + 1, argsEnd - 1);
-      bool deferred = false;
-      for (const auto& [ab, ae] : args) {
-        if (rangeContainsIdent(toks, ab, ae, "defer_lock") ||
-            rangeContainsIdent(toks, ab, ae, "try_to_lock")) {
-          deferred = true;
-        }
-      }
-      const bool multi = name == "scoped_lock";
-      const std::size_t mutexArgs = multi ? args.size() : std::min<std::size_t>(1, args.size());
-      for (std::size_t a = 0; a < mutexArgs; ++a) {
-        if (rangeContainsIdent(toks, args[a].first, args[a].second, "adopt_lock") ||
-            rangeContainsIdent(toks, args[a].first, args[a].second, "defer_lock") ||
-            rangeContainsIdent(toks, args[a].first, args[a].second, "try_to_lock")) {
-          continue;  // a lock-tag argument, not a mutex
-        }
-        std::string mutexName =
-            lastIdentIn(toks, args[a].first, args[a].second);
-        if (mutexName.empty()) continue;
-        LockSite site;
-        site.mutexName = std::move(mutexName);
-        site.scopeDepth = depth;
-        site.deferred = deferred;
-        fn.locks.push_back(std::move(site));
-        if (!deferred) active.push_back(fn.locks.size() - 1);
-      }
-      i = argsEnd;
-      continue;
-    }
-
-    // Local mutex declaration.
-    if (isMutexType(toks, i) && isIdent(toks, i + 1)) {
-      const std::string& follow = text(toks, i + 2);
-      if (follow == ";" || follow == "{" || follow == "(" || follow == "=") {
-        fn.localMutexes.insert(toks[i + 1].text);
-        ++i;
-        continue;
-      }
-    }
-
-    // Generic call site.
-    if (text(toks, i + 1) == "(" && !keywordSet().contains(name)) {
-      CallSite call;
-      call.callee = name;
-      call.tokenIndex = i;
-      call.line = toks[i].line;
-      for (const std::size_t lockIdx : active) {
-        if (!fn.locks[lockIdx].deferred) call.heldLocks.push_back(lockIdx);
-      }
-      fn.calls.push_back(std::move(call));
-    }
-    ++i;
   }
 }
 
@@ -361,25 +308,6 @@ void scanFile(FileIndex& file) {
       continue;
     }
 
-    // Mutex declarations at class/namespace scope.
-    if (isMutexType(toks, i) && isIdent(toks, i + 1)) {
-      const std::string& follow = text(toks, i + 2);
-      if (follow == ";" || follow == "{" || follow == "=") {
-        const std::string owner = currentClass();
-        if (!owner.empty()) {
-          file.classMutexMembers[owner].insert(toks[i + 1].text);
-        } else {
-          file.globalMutexes.insert(toks[i + 1].text);
-        }
-        if (follow == "{") {
-          i = skipBalanced(toks, i + 2, "{", "}");
-        } else {
-          i += 2;
-        }
-        continue;
-      }
-    }
-
     // Unordered-container declarations (R5 harvest, path-scoped in phase 2).
     if ((t == "unordered_map" || t == "unordered_set") &&
         text(toks, i + 1) == "<") {
@@ -395,13 +323,12 @@ void scanFile(FileIndex& file) {
       if (auto match = matchFunctionDef(toks, i, currentClass())) {
         FunctionInfo fn;
         fn.name = std::move(match->name);
-        fn.owner = std::move(match->owner);
         fn.qualified =
-            fn.owner.empty() ? fn.name : fn.owner + "::" + fn.name;
+            match->owner.empty() ? fn.name : match->owner + "::" + fn.name;
         fn.line = toks[i].line;
         fn.bodyBegin = match->bodyBegin;
         fn.bodyEnd = skipBalanced(toks, match->bodyBegin, "{", "}");
-        scanBody(toks, fn);
+        scanLocks(toks, fn);
         file.functions.push_back(std::move(fn));
         i = file.functions.back().bodyEnd;
         continue;
@@ -424,60 +351,6 @@ RepoIndex buildIndex(const std::vector<SourceFile>& files) {
     file.suppressions = std::move(lexed.suppressions);
     scanFile(file);
     index.files.push_back(std::move(file));
-  }
-
-  // Merge the cross-file maps.
-  for (std::size_t f = 0; f < index.files.size(); ++f) {
-    const FileIndex& file = index.files[f];
-    for (const auto& [cls, members] : file.classMutexMembers) {
-      index.classMutexMembers[cls].insert(members.begin(), members.end());
-    }
-    index.globalMutexes.insert(file.globalMutexes.begin(),
-                               file.globalMutexes.end());
-    for (std::size_t fn = 0; fn < file.functions.size(); ++fn) {
-      index.functionsByName.emplace(file.functions[fn].name,
-                                    std::make_pair(f, fn));
-    }
-  }
-
-  // Resolve every lock site to a canonical mutex identity. Member locks in
-  // a class with a matching declaration anywhere in the set resolve to
-  // "Class::name"; locals to "function:name"; the rest merge by raw name
-  // (conservative: distinct unknown mutexes that share a spelling alias).
-  for (FileIndex& file : index.files) {
-    for (FunctionInfo& fn : file.functions) {
-      for (LockSite& lock : fn.locks) {
-        const auto owned = index.classMutexMembers.find(fn.owner);
-        if (!fn.owner.empty() && owned != index.classMutexMembers.end() &&
-            owned->second.contains(lock.mutexName)) {
-          lock.mutexId = fn.owner + "::" + lock.mutexName;
-          continue;
-        }
-        if (fn.localMutexes.contains(lock.mutexName)) {
-          lock.mutexId = fn.qualified + ":" + lock.mutexName;
-          continue;
-        }
-        // Unique class member with this name anywhere in the repo?
-        std::string uniqueOwner;
-        bool ambiguous = false;
-        for (const auto& [cls, members] : index.classMutexMembers) {
-          if (members.contains(lock.mutexName)) {
-            if (!uniqueOwner.empty()) {
-              ambiguous = true;
-              break;
-            }
-            uniqueOwner = cls;
-          }
-        }
-        if (!ambiguous && !uniqueOwner.empty()) {
-          lock.mutexId = uniqueOwner + "::" + lock.mutexName;
-        } else if (index.globalMutexes.contains(lock.mutexName)) {
-          lock.mutexId = "::" + lock.mutexName;
-        } else {
-          lock.mutexId = lock.mutexName;
-        }
-      }
-    }
   }
   return index;
 }

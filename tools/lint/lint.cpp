@@ -620,9 +620,10 @@ void ruleStaleSuppression(const FileIndex& file,
 }
 
 // ---------------------------------------------------------------------------
-// Phase 4 rules (R16-R18) — consumers of the whole-program effect inference
-// in effects.cpp. Each reports into the file that owns the witness token, so
-// every finding stays suppressible at its own line.
+// Phase 4 rules (R16-R18). R16 and R18 read the leaf harvest in
+// effects.cpp; R17 scans its writers' bodies itself. Each reports into the
+// file that owns the witness token, so every finding stays suppressible at
+// its own line.
 
 // R16 `syscall-discipline` — raw POSIX is an effect-module privilege, and
 // interruptible syscalls must be written for the signal-rich world the
@@ -788,73 +789,42 @@ void ruleDurabilityOrdering(
   }
 }
 
-// R18 `blocking-under-lock` — joins the phase-1 held-lock sets with the
-// effect inference: a call made while a mutex is held must not reach a
-// blocking effect (sleep, join, blocking syscall), because a blocked
-// holder stalls every contender — and under the fleet's signal/kill
-// schedule, possibly forever. Condition-variable waits are the sanctioned
-// exception (they release the lock while parked).
+// R18 `blocking-under-lock` — joins the phase-1 guard scopes with the leaf
+// harvest: no blocking leaf (sleep, join, blocking syscall) may sit inside
+// the scope of a held lock guard, because a blocked holder stalls every
+// contender — and under the fleet's signal/kill schedule, possibly
+// forever. A condition-variable wait is no leaf (it releases the lock
+// while parked), so it stays legal. A call into another function is not
+// followed: the index has no call graph to follow it by.
 
 void ruleBlockingUnderLock(
-    const RepoIndex& index, const EffectIndex& eff,
+    const RepoIndex& index,
     std::map<std::string, std::vector<Finding>>& byFile) {
-  static const std::set<std::string> kCondvarOps = {
-      "wait", "wait_for", "wait_until", "notify_one", "notify_all"};
-  for (std::size_t i = 0; i < eff.flat.size(); ++i) {
-    const FileIndex& file = index.files[eff.flat[i].first];
-    const FunctionInfo& fn = file.functions[eff.flat[i].second];
-    bool anyHeld = false;
-    for (const CallSite& call : fn.calls) {
-      if (!call.heldLocks.empty()) {
-        anyHeld = true;
-        break;
-      }
-    }
-    if (!anyHeld) continue;
-
-    const std::vector<LeafSite> leaves = harvestLeafSites(file, fn);
-    std::map<std::size_t, const LeafSite*> leafAt;
-    for (const LeafSite& leaf : leaves) leafAt[leaf.tokenIndex] = &leaf;
-
-    for (const CallSite& call : fn.calls) {
-      if (call.heldLocks.empty()) continue;
-
-      // A blocking leaf at the call token itself (::waitpid, sleep_for,
-      // thread.join) is conclusive, even for names the condvar exception
-      // would otherwise cover.
-      std::string how;
-      if (const auto it = leafAt.find(call.tokenIndex);
-          it != leafAt.end() && (it->second->effects & kEffectBlock) != 0) {
-        how = "'" + it->second->name + "'";
-      } else if (!kCondvarOps.contains(call.callee) &&
-                 !globalCallForm(file.tokens, call.tokenIndex)) {
-        auto [lo, hi] = index.functionsByName.equal_range(call.callee);
-        for (auto jt = lo; jt != hi; ++jt) {
-          const std::size_t j = eff.flatIndex.at(jt->second);
-          if ((eff.fn[j].total & kEffectBlock) == 0) continue;
-          const std::size_t blockBit = 5;  // log2(kEffectBlock)
-          how = "'" + call.callee + "' which reaches " +
-                eff.fn[j].witness[blockBit].root;
-          break;
+  for (const FileIndex& file : index.files) {
+    for (const FunctionInfo& fn : file.functions) {
+      if (fn.locks.empty()) continue;
+      for (const LeafSite& leaf : harvestLeafSites(file, fn)) {
+        if (!leaf.blocking) continue;
+        std::string held;
+        std::set<std::string> seen;
+        for (const LockSite& lock : fn.locks) {
+          if (leaf.tokenIndex < lock.scopeBegin ||
+              leaf.tokenIndex >= lock.scopeEnd ||
+              !seen.insert(lock.mutexName).second) {
+            continue;
+          }
+          if (!held.empty()) held += ", ";
+          held += "'" + lock.mutexName + "'";
         }
+        if (held.empty()) continue;
+        byFile[file.path].push_back(
+            {file.path, leaf.line, "blocking-under-lock",
+             "'" + fn.qualified + "' blocks in '" + leaf.name +
+                 "' while holding " + held +
+                 "; a blocked holder stalls every contender — release the "
+                 "lock before waiting",
+             false});
       }
-      if (how.empty()) continue;
-
-      std::string held;
-      std::set<std::string> seen;
-      for (std::size_t lockIdx : call.heldLocks) {
-        const std::string& id = fn.locks[lockIdx].mutexId;
-        if (!seen.insert(id).second) continue;
-        if (!held.empty()) held += ", ";
-        held += "'" + id + "'";
-      }
-      byFile[file.path].push_back(
-          {file.path, call.line, "blocking-under-lock",
-           "'" + fn.qualified + "' blocks in " + how + " while holding " +
-               held +
-               "; a blocked holder stalls every contender — release the "
-               "lock before waiting",
-           false});
     }
   }
 }
@@ -907,9 +877,9 @@ const std::vector<RuleInfo>& ruleRegistry() {
        "rename -> parent-dir fsync, and fleet workers append an outcome "
        "to their shard before sending the frame (no ack-before-persist)"},
       {"blocking-under-lock",
-       "R18: no blocking effect (sleep, join, blocking syscall) is "
-       "reachable from a call made while a mutex is held; condvar waits "
-       "are the sanctioned exception"},
+       "R18: no blocking call (sleep, join, blocking syscall) inside the "
+       "scope of a held lock guard; condvar waits release the lock and "
+       "stay legal"},
       {"stale-suppression",
        "R10: an avd-lint allow() directive that no longer suppresses a "
        "finding is itself an error"},
@@ -927,7 +897,7 @@ bool isKnownRule(std::string_view rule) {
 
 std::vector<Finding> lintFiles(const std::vector<SourceFile>& files,
                                const Options& options) {
-  // Phase 1: repo-wide semantic index (lex + symbols + locks + calls).
+  // Phase 1: repo-wide semantic index (lex + functions + guard scopes).
   RepoIndex index = buildIndex(files);
 
   // R5 harvests declarations only from its path scope.
@@ -962,12 +932,10 @@ std::vector<Finding> lintFiles(const std::vector<SourceFile>& files,
   ruleQuorumConsistency(model, byFile);
   ruleEventCoverage(model, byFile);
 
-  // Phase 4: whole-program effect inference (leaf harvest + call-graph
-  // fixpoint) and its consumers (R16-R18).
-  const EffectIndex effects = inferEffects(index);
+  // Phase 4: the effect rules (R16-R18).
   ruleSyscallDiscipline(index, byFile);
   ruleDurabilityOrdering(index, byFile);
-  ruleBlockingUnderLock(index, effects, byFile);
+  ruleBlockingUnderLock(index, byFile);
 
   // Phase 2c: suppression audit (R10) over the pre-suppression findings,
   // then suppression application and directive errors.

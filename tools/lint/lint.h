@@ -1,12 +1,13 @@
 // avd_lint — repo-specific static analysis for the AVD codebase.
 //
-// A deliberately small, dependency-free C++ analyzer. v4 is a five-phase
-// engine: phase 0/1 (lexer.h / index.h) tokenizes every translation unit
-// and builds a repo-wide semantic index (functions, mutexes, lock sites,
-// call graph, ByteReader reads); phase 2 (this module) runs the
-// token/index rule families; phase 3 (model.h) extracts the protocol model
-// and checks quorum thresholds and event coverage; phase 4 (effects.h)
-// runs a call-graph effect-inference fixpoint and checks the effect rules:
+// A deliberately small, dependency-free C++ analyzer in five phases:
+// phase 0/1 (lexer.h / index.h) tokenizes every translation unit and
+// builds a repo-wide index (functions, lock-guard scopes, unordered
+// containers); phase 2 (this module) runs the token/index rule families;
+// phase 3 (model.h) extracts the protocol model and checks quorum
+// thresholds and event coverage; phase 4 (effects.h) harvests each
+// function's raw POSIX calls and blocking waits and checks the effect
+// rules. No phase builds a call graph. The rules:
 //
 //   R1  nondeterminism        R2  unchecked-parse     R3  uncapped-reserve
 //   R4  naked-lock            R5  unordered-iter      R6  detached-thread
@@ -69,9 +70,9 @@ struct Options {
 };
 
 /// Lints a set of files as one unit. Phase 1 indexes the whole set before
-/// any rule runs, so cross-file facts (a mutex member declared in a header
-/// and locked in a .cpp, a callee defined in another TU) are visible to
-/// every rule.
+/// any rule runs, so cross-file facts (an unordered container declared in
+/// a header and iterated in a .cpp, the message-kind enum and the counters
+/// that cover it) are visible to every rule.
 std::vector<Finding> lintFiles(const std::vector<SourceFile>& files,
                                const Options& options = {});
 

@@ -3,7 +3,6 @@
 // Usage:
 //   avd_lint [--json] [--include-suppressed] [--list-rules]
 //            [--gen-events out.h] [--check-events checked-in.h]
-//            [--gen-effects out.json] [--check-effects checked-in.json]
 //            <path>...
 //
 // Paths may be files or directories (directories are walked recursively for
@@ -15,10 +14,7 @@
 // paths is written to the output header (src/avd/gen/protocol_events.h in
 // the tree) instead of linting. --check-events regenerates the taxonomy
 // and diffs it against the checked-in header: exit 1 on drift (the
-// `lint.gen` CTest gate). --gen-effects / --check-effects do the same for
-// the phase-4 effect map (tools/lint/effects.json, the `lint.effects`
-// gate): the checked-in JSON is the reviewed record of which functions
-// carry which effects, so a new effect on a hot path shows up in the diff.
+// `lint.gen` CTest gate).
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -27,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "effects.h"
 #include "index.h"
 #include "lint.h"
 #include "model.h"
@@ -55,9 +50,7 @@ bool readFile(const fs::path& path, std::string& out) {
 int usage() {
   std::cerr << "usage: avd_lint [--json] [--include-suppressed] "
                "[--list-rules] [--gen-events out.h] "
-               "[--check-events checked-in.h] "
-               "[--gen-effects out.json] [--check-effects checked-in.json] "
-               "<file-or-dir>...\n";
+               "[--check-events checked-in.h] <file-or-dir>...\n";
   return 2;
 }
 
@@ -68,8 +61,6 @@ int main(int argc, char** argv) {
   bool includeSuppressed = false;
   std::string genEventsPath;
   std::string checkEventsPath;
-  std::string genEffectsPath;
-  std::string checkEffectsPath;
   std::vector<fs::path> roots;
 
   for (int i = 1; i < argc; ++i) {
@@ -91,19 +82,6 @@ int main(int argc, char** argv) {
         return usage();
       }
       checkEventsPath = argv[++i];
-    } else if (arg == "--gen-effects") {
-      if (i + 1 >= argc) {
-        std::cerr << "avd_lint: --gen-effects requires an output path\n";
-        return usage();
-      }
-      genEffectsPath = argv[++i];
-    } else if (arg == "--check-effects") {
-      if (i + 1 >= argc) {
-        std::cerr << "avd_lint: --check-effects requires the checked-in "
-                     "json path\n";
-        return usage();
-      }
-      checkEffectsPath = argv[++i];
     } else if (arg == "--list-rules") {
       for (const auto& rule : avd::lint::ruleRegistry()) {
         std::cout << rule.id << "\t" << rule.summary << "\n";
@@ -172,35 +150,6 @@ int main(int argc, char** argv) {
                    "the sources differs from the checked-in header.\n"
                    "Regenerate with: avd_lint --gen-events "
                 << checkEventsPath << " <paths>\n";
-      return 1;
-    }
-    return 0;
-  }
-
-  if (!genEffectsPath.empty() || !checkEffectsPath.empty()) {
-    const avd::lint::RepoIndex index = avd::lint::buildIndex(files);
-    const avd::lint::EffectIndex effects = avd::lint::inferEffects(index);
-    const std::string rendered =
-        avd::lint::generateEffectsJson(index, effects);
-    if (!genEffectsPath.empty()) {
-      std::ofstream out(genEffectsPath, std::ios::binary);
-      if (!out || !(out << rendered)) {
-        std::cerr << "avd_lint: cannot write '" << genEffectsPath << "'\n";
-        return 2;
-      }
-      return 0;
-    }
-    std::string checkedIn;
-    if (!readFile(checkEffectsPath, checkedIn)) {
-      std::cerr << "avd_lint: cannot read '" << checkEffectsPath << "'\n";
-      return 2;
-    }
-    if (checkedIn != rendered) {
-      std::cerr << "avd_lint: '" << checkEffectsPath
-                << "' is stale: the effect map inferred from the sources "
-                   "differs from the checked-in json.\n"
-                   "Regenerate with: avd_lint --gen-effects "
-                << checkEffectsPath << " <paths>\n";
       return 1;
     }
     return 0;
